@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro._version import __version__
+from repro.api.spec import SUPPORTED_SCHEMA_VERSIONS
 from repro.errors import SpecError
 
 #: Version of the envelope layout written by this build.
@@ -104,19 +105,14 @@ def unwrap(
         raise SpecError(
             f"{path}: expected a JSON object, got {type(document).__name__}"
         )
-    version = document.get("schema_version")
-    if version not in SUPPORTED_ENVELOPE_VERSIONS:
-        raise SpecError(
-            f"{path}.schema_version: unsupported version {version!r} "
-            f"(this build reads versions {list(SUPPORTED_ENVELOPE_VERSIONS)})"
-        )
     if is_envelope(document):
+        supported = SUPPORTED_ENVELOPE_VERSIONS
         kind = document["kind"]
         data = document["data"]
-        if not isinstance(data, (Mapping, list, type(None))):
-            raise SpecError(f"{path}.data: expected an object, got {data!r}")
     elif "spec_hash" in document:
-        # Legacy flat run-result manifest (envelope versions 1 and 2).
+        # Flat run-result manifest (envelope versions 1 and 2, and the CLI's
+        # ``--json PATH`` file): its schema_version is the spec-layout one.
+        supported = SUPPORTED_SCHEMA_VERSIONS
         kind = "run_result"
         data = document
     else:
@@ -124,6 +120,14 @@ def unwrap(
             f"{path}: not a response envelope (missing 'kind'/'data') and not "
             "a legacy flat run manifest (missing 'spec_hash')"
         )
+    version = document.get("schema_version")
+    if version not in supported:
+        raise SpecError(
+            f"{path}.schema_version: unsupported version {version!r} "
+            f"(this build reads versions {list(supported)})"
+        )
+    if not isinstance(data, (Mapping, list, type(None))):
+        raise SpecError(f"{path}.data: expected an object, got {data!r}")
     if expected_kind is not None and kind != expected_kind:
         raise SpecError(
             f"{path}.kind: expected {expected_kind!r}, got {kind!r}"

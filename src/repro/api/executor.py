@@ -21,18 +21,11 @@ are thin adapters over :func:`execute_cases`).  The executor
 
 from __future__ import annotations
 
-import os
-from contextlib import nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from repro.backend import (
-    ARRAY_BACKEND_ENV_VAR,
-    resolve_array_backend,
-    use_array_backend,
-)
 from repro.geometry.array_layout import TSVArrayLayout
 from repro.materials.library import MaterialLibrary
 from repro.materials.temperature import ThermalLoad
@@ -105,70 +98,61 @@ def execute_cases(
             overlap=shard.overlap,
             memory_budget_bytes=shard.memory_budget_bytes,
         )
-    # The simulator's array backend (if any) is active for ROM construction
-    # and the global solve alike; the worker pool of the local stage is
-    # thread-based, so workers share the activation.
-    backend_context = (
-        use_array_backend(simulator.array_backend)
-        if simulator.array_backend is not None
-        else nullcontext()
-    )
-    with backend_context:
-        include_dummy = layout.num_dummy_blocks > 0
-        roms = simulator.build_roms(include_dummy=include_dummy)
+    include_dummy = layout.num_dummy_blocks > 0
+    roms = simulator.build_roms(include_dummy=include_dummy)
 
-        stage = GlobalStage(
-            roms=roms,
-            materials=simulator.materials,
-            solver_options=simulator.solver_options,
-        )
-        timer = Timer()
-        shard_stats: "list[dict | None]" = [None] * len(loads)
-        with PeakMemoryTracker() as tracker, timer:
-            if plan is not None:
-                # Out-of-core path: each load runs the Schwarz iteration over
-                # the same shard plan (the plan depends only on the layout).
-                solutions = []
-                for load_index, load in enumerate(loads):
-                    displacement_field = displacement_fields
-                    if isinstance(displacement_field, (list, tuple)):
-                        displacement_field = displacement_field[load_index]
-                    solution, stats = solve_sharded(
-                        stage,
-                        layout,
-                        load,
-                        plan=plan,
-                        tolerance=shard.tolerance,
-                        max_iterations=shard.max_iterations,
-                        max_inflight=shard.max_inflight,
-                        jobs=simulator.jobs,
-                        boundary_condition=boundary,
-                        displacement_field=displacement_field,
-                        heartbeat=heartbeat,
-                    )
-                    solutions.append(solution)
-                    shard_stats[load_index] = stats.to_dict()
-            elif batched:
-                solutions = stage.solve_many(
-                    layout,
-                    loads,
-                    boundary_condition=boundary,
-                    displacement_fields=displacement_fields,
-                )
-            else:
+    stage = GlobalStage(
+        roms=roms,
+        materials=simulator.materials,
+        solver_options=simulator.solver_options,
+    )
+    timer = Timer()
+    shard_stats: "list[dict | None]" = [None] * len(loads)
+    with PeakMemoryTracker() as tracker, timer:
+        if plan is not None:
+            # Out-of-core path: each load runs the Schwarz iteration over
+            # the same shard plan (the plan depends only on the layout).
+            solutions = []
+            for load_index, load in enumerate(loads):
                 displacement_field = displacement_fields
                 if isinstance(displacement_field, (list, tuple)):
-                    displacement_field = (
-                        displacement_field[0] if displacement_field else None
-                    )
-                solutions = [
-                    stage.solve(
-                        layout,
-                        delta_t=loads[0],
-                        boundary_condition=boundary,
-                        displacement_field=displacement_field,
-                    )
-                ]
+                    displacement_field = displacement_field[load_index]
+                solution, stats = solve_sharded(
+                    stage,
+                    layout,
+                    load,
+                    plan=plan,
+                    tolerance=shard.tolerance,
+                    max_iterations=shard.max_iterations,
+                    max_inflight=shard.max_inflight,
+                    jobs=simulator.jobs,
+                    boundary_condition=boundary,
+                    displacement_field=displacement_field,
+                    heartbeat=heartbeat,
+                )
+                solutions.append(solution)
+                shard_stats[load_index] = stats.to_dict()
+        elif batched:
+            solutions = stage.solve_many(
+                layout,
+                loads,
+                boundary_condition=boundary,
+                displacement_fields=displacement_fields,
+            )
+        else:
+            displacement_field = displacement_fields
+            if isinstance(displacement_field, (list, tuple)):
+                displacement_field = (
+                    displacement_field[0] if displacement_field else None
+                )
+            solutions = [
+                stage.solve(
+                    layout,
+                    delta_t=loads[0],
+                    boundary_condition=boundary,
+                    displacement_field=displacement_field,
+                )
+            ]
     return [
         SimulationResult(
             solution=solution,
@@ -305,6 +289,8 @@ def _restore_group_checkpoint(
         try:
             stats = None if stats_info is None else SolveStats(**stats_info)
         except TypeError:
+            # Diagnostics written by an older SolveStats layout.
+            _logger.warning("executor: stale checkpoint %s; re-solving", path)
             return None
         solution = GlobalSolution(
             layout=layout,
@@ -329,24 +315,6 @@ def _restore_group_checkpoint(
     return results
 
 
-def _requested_array_backend(override: str | None, spec_value: str) -> str:
-    """Apply the array-backend selection precedence.
-
-    CLI/keyword override > explicit (non-default) spec value > the
-    ``REPRO_ARRAY_BACKEND`` environment variable > the spec default.  Because
-    the spec default is ``"numpy"``, an explicit ``"numpy"`` in a spec is
-    indistinguishable from the default and can be overridden by the
-    environment; forcing numpy under a conflicting environment requires the
-    override argument (the CLI flag).
-    """
-    if override:
-        return override
-    if spec_value != "numpy":
-        return spec_value
-    env_value = os.environ.get(ARRAY_BACKEND_ENV_VAR, "").strip()
-    return env_value or spec_value
-
-
 def run(
     spec: SimulationSpec,
     *,
@@ -354,7 +322,6 @@ def run(
     rom_cache: "ROMCache | str | Path | None" = None,
     jobs: int | None = None,
     coarse_solution: "CoarsePackageSolution | None" = None,
-    array_backend: str | None = None,
     progress: Callable[[int, int, str], None] | None = None,
     checkpoint_dir: "str | Path | None" = None,
 ) -> RunResult:
@@ -380,11 +347,6 @@ def run(
         case (the experiment drivers solve it once and share it with the
         reference methods); by default the executor solves the coarse model
         itself, once per distinct thermal load.
-    array_backend:
-        Array-backend override (the CLI ``--array-backend`` flag routes
-        here); beats both ``spec.solver.array_backend`` and the
-        ``REPRO_ARRAY_BACKEND`` environment variable.  Both the requested
-        and the resolved (post-fallback) backend are recorded in the result.
     progress:
         Optional per-case completion callback, called as
         ``progress(done_cases, total_cases, case_name)`` after each case's
@@ -408,10 +370,6 @@ def run(
     from repro.rom.submodeling import place_submodel
     from repro.rom.workflow import MoreStressSimulator
 
-    requested = _requested_array_backend(array_backend, spec.solver.array_backend)
-    backend_obj, requested = resolve_array_backend(requested)
-    resolved_backend = backend_obj.name
-
     library = spec.materials.build_library() if materials is None else materials
     simulator = MoreStressSimulator(
         spec.geometry.build_tsv(),
@@ -421,7 +379,6 @@ def run(
         solver_options=spec.solver.build_options(),
         rom_cache=rom_cache,
         jobs=jobs if jobs is not None else spec.solver.jobs,
-        array_backend=resolved_backend,
     )
 
     # Sub-modeling context: the chiplet package and the coarse solutions
@@ -514,16 +471,14 @@ def run(
             hotspot_report = None
             if spec.output is not None:
                 # Streamed full-field reconstruction: one sampler per block
-                # kind, one block's fine field in memory at a time.  Runs
-                # under the resolved array backend like the solve itself.
-                with use_array_backend(resolved_backend):
-                    field_data = reconstruct_array_field(
-                        result.solution,
-                        points_per_block=spec.output.resolved_points_per_block(spec.mesh),
-                        z_planes=spec.output.z_planes,
-                        jobs=simulator.jobs,
-                        sampler_cache=field_sampler_cache,
-                    )
+                # kind, one block's fine field in memory at a time.
+                field_data = reconstruct_array_field(
+                    result.solution,
+                    points_per_block=spec.output.resolved_points_per_block(spec.mesh),
+                    z_planes=spec.output.z_planes,
+                    jobs=simulator.jobs,
+                    sampler_cache=field_sampler_cache,
+                )
                 if spec.output.hotspots:
                     hotspot_report = analyze_hotspots(
                         field_data,
@@ -561,8 +516,6 @@ def run(
         num_case_groups=len(groups),
         materials_overridden=materials is not None,
         rom_cache_stats=rom_cache_stats,
-        array_backend_requested=requested,
-        array_backend=resolved_backend,
     )
 
 

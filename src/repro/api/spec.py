@@ -25,11 +25,6 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Sequence
 
-from repro.backend import (
-    ARRAY_BACKEND_ALIASES,
-    array_backend_names,
-    canonical_array_backend_name,
-)
 # Deprecated alias: SpecError now lives in the unified exception taxonomy
 # (repro.errors); importing it from here keeps working.
 from repro.errors import SpecError
@@ -61,15 +56,17 @@ from repro.utils.validation import (
 #: ``from_dict`` accepts every version in :data:`SUPPORTED_SCHEMA_VERSIONS`
 #: and refuses anything else.  Version history:
 #:
-#: * 1 — initial layout (no ``solver.array_backend``).
-#: * 2 — adds ``solver.array_backend``; purely additive, so version-1
-#:   documents load unchanged with the field at its ``"numpy"`` default.
+#: * 1 — initial layout.
+#: * 2 — adds the solver's array-backend name.
 #: * 3 — adds ``solver.shard`` (out-of-core sharded global stage); purely
 #:   additive, older documents load unchanged with sharding disabled.
-SCHEMA_VERSION = 3
+#: * 4 — drops the array-backend name again: the kernels are plain numpy.
+#:   Older documents carrying it load with the name checked and dropped
+#:   (see :func:`_drop_array_backend_name`).
+SCHEMA_VERSION = 4
 
 #: Spec document versions this build can read.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3)
+SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4)
 
 #: Material roles that may be overridden (the roles the meshers tag).
 KNOWN_MATERIAL_ROLES = (
@@ -562,9 +559,6 @@ class ShardSpec:
 class SolverSpec:
     """Global-stage solver configuration plus the local-stage worker count.
 
-    ``array_backend`` selects the dense array backend (``repro.backend``)
-    the kernels run on; the default ``"numpy"`` keeps pre-version-2 spec
-    documents loading (and producing bit-identical results) unchanged.
     ``shard`` (version 3) opts the global stage into the out-of-core
     sharded solver; ``None`` keeps the monolithic path.
     """
@@ -575,7 +569,6 @@ class SolverSpec:
     max_iterations: int = 5000
     gmres_restart: int = 100
     jobs: int | None = None
-    array_backend: str = "numpy"
     shard: ShardSpec | None = None
 
     def __post_init__(self) -> None:
@@ -589,15 +582,6 @@ class SolverSpec:
                 raise ValidationError(
                     f"backend must be one of {known} or null, got {self.backend!r}"
                 )
-        try:
-            canonical = canonical_array_backend_name(self.array_backend)
-        except ValidationError as exc:
-            known_arrays = sorted({*array_backend_names(), *ARRAY_BACKEND_ALIASES})
-            raise ValidationError(
-                f"array_backend must be one of {known_arrays}, "
-                f"got {self.array_backend!r}"
-            ) from exc
-        object.__setattr__(self, "array_backend", canonical)
         # SolverOptions validates method/rtol/max_iterations eagerly.
         self.build_options()
         if self.jobs is not None:
@@ -621,7 +605,6 @@ class SolverSpec:
             "max_iterations": self.max_iterations,
             "gmres_restart": self.gmres_restart,
             "jobs": self.jobs,
-            "array_backend": self.array_backend,
             "shard": None if self.shard is None else self.shard.to_dict(),
         }
 
@@ -645,10 +628,6 @@ class SolverSpec:
                 f"{path}.gmres_restart",
             ),
             "jobs": _optional(_get(data, "jobs", path, None), _integer, f"{path}.jobs"),
-            "array_backend": _string(
-                _get(data, "array_backend", path, cls.array_backend),
-                f"{path}.array_backend",
-            ),
         }
         raw_shard = _get(data, "shard", path, None)
         kwargs["shard"] = (
@@ -657,6 +636,27 @@ class SolverSpec:
             else ShardSpec.from_dict(raw_shard, f"{path}.shard")
         )
         return _construct(cls, kwargs, path)
+
+
+#: Array-backend names a version 1–3 solver section could carry.
+_LEGACY_ARRAY_BACKENDS = ("numpy", "np", "torch", "pytorch", "cupy")
+
+
+def _drop_array_backend_name(solver: Any, path: str) -> Any:
+    """Migrate a version 1–3 solver section: check and drop the backend name.
+
+    Every such run executed on numpy, so the name changes nothing; an
+    unknown name was an error then and stays one.
+    """
+    if not isinstance(solver, Mapping) or "array_backend" not in solver:
+        return solver
+    name = _string(solver["array_backend"], f"{path}.array_backend")
+    if name.strip().lower() not in _LEGACY_ARRAY_BACKENDS:
+        raise SpecError(
+            f"{path}.array_backend: must be one of {list(_LEGACY_ARRAY_BACKENDS)}, "
+            f"got {name!r}"
+        )
+    return {key: value for key, value in solver.items() if key != "array_backend"}
 
 
 # --------------------------------------------------------------------------- #
@@ -1046,6 +1046,9 @@ class SimulationSpec:
                 f"{path}.schema_version: unsupported version {version!r} "
                 f"(this build reads versions {list(SUPPORTED_SCHEMA_VERSIONS)})"
             )
+        raw_solver = _get(data, "solver", path, {})
+        if version < 4:
+            raw_solver = _drop_array_backend_name(raw_solver, f"{path}.solver")
         raw_cases = _get(data, "load_cases", path, [LoadCase().to_dict()])
         if not isinstance(raw_cases, (list, tuple)):
             raise SpecError(f"{path}.load_cases: expected a list, got {raw_cases!r}")
@@ -1074,9 +1077,7 @@ class SimulationSpec:
                 _get(data, "materials", path, {}), f"{path}.materials"
             ),
             "mesh": MeshSpec.from_dict(_get(data, "mesh", path, {}), f"{path}.mesh"),
-            "solver": SolverSpec.from_dict(
-                _get(data, "solver", path, {}), f"{path}.solver"
-            ),
+            "solver": SolverSpec.from_dict(raw_solver, f"{path}.solver"),
             "load_cases": load_cases,
             "submodel": submodel,
             "output": output,

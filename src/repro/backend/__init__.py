@@ -1,355 +1,15 @@
-"""Pluggable dense-array backend: one kernel surface for numpy / torch / cupy.
+"""Array-backend names, kept for the benchmark's environment header.
 
-The dense hot paths of the package — element stiffness kernels, basis
-projection, block-wise field reconstruction — call the
-:data:`backend_manager` (``bm``) instead of ``numpy`` directly:
-
-.. code-block:: python
-
-    from repro.backend import backend_manager as bm
-
-    ke = bm.einsum("gai,ij,gbj,g->ab", bt, d, bt, weights)
-    eps = bm.zeros((n, 6), dtype=bm.ftype)
-
-``bm`` exposes a numpy-compatible namespace (``array``, ``einsum``,
-``zeros``, ``unique``, ..., the dtype constants ``ftype``/``itype`` and the
-``asnumpy()`` boundary converter).  The default implementation is pure
-numpy — on that path every ``bm.*`` call resolves to the identical ``np.*``
-call, so results are bit-for-bit what the pre-backend code produced.  The
-optional ``torch`` and ``cupy`` implementations are imported lazily (merely
-importing :mod:`repro.backend` must not import either library) and degrade
-gracefully: requesting an unavailable backend falls back along its
-:attr:`ArrayBackend.fallback` chain with a logged warning, mirroring the
-sparse-solver fallback of :mod:`repro.fem.backends`.
-
-Everything *sparse* stays numpy/scipy: COO scatter, SuperLU/CHOLMOD
-factorisations and the global DoF bookkeeping never move to the array
-backend.  Dense results cross back over the ``bm.asnumpy()`` seam at
-well-documented call sites (see ``fem/assembly.py``).
-
-Selection precedence is CLI ``--array-backend`` > ``SolverSpec.array_backend``
-> the ``REPRO_ARRAY_BACKEND`` environment variable (which only beats the
-spec's *default*, not an explicit non-default value) > ``"numpy"``.
+The dense kernels call numpy directly; there is no alternative array
+backend.  ``perfbench/bench.py`` is the only caller of these two functions.
 """
-
-from __future__ import annotations
-
-import importlib.util
-import os
-from contextlib import contextmanager
-
-import numpy as np
-
-from repro.errors import BackendError
-from repro.utils.logging import get_logger
-from repro.utils.validation import ValidationError
-
-_logger = get_logger("backend")
-
-#: Environment variable consulted for the default backend selection.
-ARRAY_BACKEND_ENV_VAR = "REPRO_ARRAY_BACKEND"
-
-
-class _NumpyNamespace:
-    """The reference namespace: plain numpy plus the ``bm`` extras.
-
-    Every attribute not defined here resolves to the same-named ``numpy``
-    attribute, so the numpy path adds nothing between the kernels and numpy —
-    results are bit-identical to calling ``np.*`` directly.
-    """
-
-    name = "numpy"
-    ftype = np.float64
-    itype = np.int64
-
-    @staticmethod
-    def asnumpy(array):
-        """Identity boundary converter (numpy arrays already are numpy)."""
-        return np.asarray(array)
-
-    @staticmethod
-    def from_numpy(array):
-        """Identity converter from the numpy seam into the backend."""
-        return np.asarray(array)
-
-    def __getattr__(self, attr):
-        return getattr(np, attr)
-
-
-class ArrayBackend:
-    """Interface of an array backend.
-
-    Attributes
-    ----------
-    name:
-        Canonical registry name (what ``--array-backend`` accepts and what
-        run manifests record).
-    fallback:
-        Backends tried, in order, when this one is unavailable; the registry
-        appends ``"numpy"`` as the terminal fallback.
-    """
-
-    name: str = ""
-    fallback: tuple[str, ...] = ()
-
-    @classmethod
-    def is_available(cls) -> bool:
-        """Whether the backend can run in this environment."""
-        return True
-
-    def create_namespace(self):
-        """Build (and import, if needed) the backend's array namespace."""
-        raise NotImplementedError
-
-
-class NumpyArrayBackend(ArrayBackend):
-    """The always-available pure-numpy reference backend."""
-
-    name = "numpy"
-
-    def create_namespace(self):
-        return _NumpyNamespace()
-
-
-class TorchArrayBackend(ArrayBackend):
-    """PyTorch tensors (CPU, float64), imported lazily when activated."""
-
-    name = "torch"
-    fallback = ("numpy",)
-
-    @classmethod
-    def is_available(cls) -> bool:
-        try:
-            return importlib.util.find_spec("torch") is not None
-        except Exception:
-            return False
-
-    def create_namespace(self):
-        from repro.backend._torch import TorchNamespace
-
-        return TorchNamespace()
-
-
-class CupyArrayBackend(ArrayBackend):
-    """CuPy (GPU) arrays, imported lazily when activated."""
-
-    name = "cupy"
-    fallback = ("numpy",)
-
-    @classmethod
-    def is_available(cls) -> bool:
-        try:
-            return importlib.util.find_spec("cupy") is not None
-        except Exception:
-            return False
-
-    def create_namespace(self):
-        from repro.backend._cupy import CupyNamespace
-
-        return CupyNamespace()
-
-
-_REGISTRY: dict[str, ArrayBackend] = {
-    backend.name: backend
-    for backend in (NumpyArrayBackend(), TorchArrayBackend(), CupyArrayBackend())
-}
-
-#: Accepted spellings that map onto a canonical backend name.
-ARRAY_BACKEND_ALIASES: dict[str, str] = {
-    "np": "numpy",
-    "pytorch": "torch",
-}
 
 
 def array_backend_names() -> tuple[str, ...]:
-    """All registered canonical array-backend names (available or not)."""
-    return tuple(_REGISTRY)
+    """Every array backend this build knows."""
+    return ("numpy",)
 
 
 def available_array_backends() -> tuple[str, ...]:
-    """Canonical names of the array backends usable in this environment."""
-    return tuple(name for name, backend in _REGISTRY.items() if backend.is_available())
-
-
-def canonical_array_backend_name(name: str) -> str:
-    """Normalize an array-backend name or alias; raise on unknown names."""
-    key = str(name).strip().lower()
-    key = ARRAY_BACKEND_ALIASES.get(key, key)
-    if key not in _REGISTRY:
-        known = sorted({*_REGISTRY, *ARRAY_BACKEND_ALIASES})
-        raise BackendError(
-            f"unknown array backend {name!r}; known backends: {', '.join(known)}"
-        )
-    return key
-
-
-def get_array_backend(name: str) -> ArrayBackend:
-    """Return the registered backend of ``name`` (even if unavailable)."""
-    return _REGISTRY[canonical_array_backend_name(name)]
-
-
-def resolve_array_backend(name: str) -> tuple[ArrayBackend, str]:
-    """Resolve an array-backend name to a usable backend instance.
-
-    Returns ``(backend, requested)`` where ``requested`` is the canonical
-    form of ``name``.  When the requested backend is unavailable the call
-    walks its fallback chain (terminating at ``numpy``, which is always
-    available) and logs the substitution; callers detect it by comparing
-    ``backend.name`` with ``requested`` — the executor records both in the
-    run manifest.
-    """
-    requested = canonical_array_backend_name(name)
-    backend = _REGISTRY[requested]
-    if backend.is_available():
-        return backend, requested
-    for candidate_name in (*backend.fallback, "numpy"):
-        candidate = _REGISTRY[candidate_name]
-        if candidate.is_available():
-            _logger.warning(
-                "array backend %r is unavailable; falling back to %r",
-                requested,
-                candidate.name,
-            )
-            return candidate, requested
-    raise BackendError(f"no usable array backend for {name!r}")
-
-
-def register_array_backend(backend: ArrayBackend, replace: bool = False) -> None:
-    """Register an additional array backend (e.g. a test double).
-
-    Raises :class:`ValidationError` when the name is taken and ``replace``
-    is not set.
-    """
-    if not backend.name:
-        raise ValidationError("array backends must have a non-empty name")
-    if backend.name in _REGISTRY and not replace:
-        raise ValidationError(
-            f"array backend {backend.name!r} is already registered "
-            "(pass replace=True to override)"
-        )
-    _REGISTRY[backend.name] = backend
-
-
-def unregister_array_backend(name: str) -> None:
-    """Remove a registered backend; the numpy reference cannot be removed."""
-    key = canonical_array_backend_name(name)
-    if key == "numpy":
-        raise ValidationError("the numpy reference backend cannot be unregistered")
-    del _REGISTRY[key]
-    bm._cache.pop(key, None)
-
-
-class BackendManager:
-    """The ``bm`` singleton: dispatches array calls to the active backend.
-
-    Attribute access (``bm.einsum``, ``bm.ftype``, ...) forwards to the
-    active backend's namespace.  The default is resolved lazily on first use
-    from :data:`ARRAY_BACKEND_ENV_VAR` (falling back to ``"numpy"``), so
-    importing this module never imports an optional library.
-    """
-
-    def __init__(self) -> None:
-        self._namespace = None
-        self._name: str | None = None
-        self._requested: str | None = None
-        self._cache: dict[str, object] = {}
-
-    # -- activation ---------------------------------------------------- #
-    def _namespace_for(self, backend: ArrayBackend):
-        if backend.name not in self._cache:
-            self._cache[backend.name] = backend.create_namespace()
-        return self._cache[backend.name]
-
-    def _activate(self, backend: ArrayBackend, requested: str) -> None:
-        self._namespace = self._namespace_for(backend)
-        self._name = backend.name
-        self._requested = requested
-
-    def _active_namespace(self):
-        if self._namespace is None:
-            requested = os.environ.get(ARRAY_BACKEND_ENV_VAR, "").strip() or "numpy"
-            backend, requested = resolve_array_backend(requested)
-            self._activate(backend, requested)
-        return self._namespace
-
-    # -- public surface ------------------------------------------------ #
-    @property
-    def active_name(self) -> str:
-        """Canonical name of the backend actually in use."""
-        self._active_namespace()
-        assert self._name is not None
-        return self._name
-
-    @property
-    def requested_name(self) -> str:
-        """Canonical name of the backend that was requested (pre-fallback)."""
-        self._active_namespace()
-        assert self._requested is not None
-        return self._requested
-
-    def set_backend(self, name: str) -> str:
-        """Activate a backend (with graceful fallback); returns the resolved name."""
-        backend, requested = resolve_array_backend(name)
-        self._activate(backend, requested)
-        return backend.name
-
-    def reset(self) -> None:
-        """Drop the active selection; the next use re-resolves the default."""
-        self._namespace = None
-        self._name = None
-        self._requested = None
-
-    def __getattr__(self, attr: str):
-        if attr.startswith("_"):
-            raise AttributeError(attr)
-        return getattr(self._active_namespace(), attr)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BackendManager(active={self._name!r}, requested={self._requested!r})"
-
-
-#: The process-wide backend manager (fealpy-style ``bm`` idiom).
-backend_manager = BackendManager()
-bm = backend_manager
-
-
-def active_array_backend_name() -> str:
-    """Canonical name of the array backend currently in use."""
-    return bm.active_name
-
-
-@contextmanager
-def use_array_backend(name: str):
-    """Context manager activating a backend for a region, then restoring.
-
-    Yields the *resolved* canonical backend name (which differs from ``name``
-    when the requested backend is unavailable and a fallback was taken).
-    """
-    previous = (bm._namespace, bm._name, bm._requested)
-    resolved = bm.set_backend(name)
-    try:
-        yield resolved
-    finally:
-        bm._namespace, bm._name, bm._requested = previous
-
-
-__all__ = [
-    "ARRAY_BACKEND_ALIASES",
-    "ARRAY_BACKEND_ENV_VAR",
-    "ArrayBackend",
-    "BackendManager",
-    "CupyArrayBackend",
-    "NumpyArrayBackend",
-    "TorchArrayBackend",
-    "active_array_backend_name",
-    "array_backend_names",
-    "available_array_backends",
-    "backend_manager",
-    "bm",
-    "canonical_array_backend_name",
-    "get_array_backend",
-    "register_array_backend",
-    "resolve_array_backend",
-    "unregister_array_backend",
-    "use_array_backend",
-]
+    """The array backends usable here."""
+    return ("numpy",)

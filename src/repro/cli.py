@@ -81,11 +81,6 @@ from repro.lint import (
     write_registry as write_fault_site_registry,
 )
 from repro.experiments.config import ConvergenceConfig, Scenario1Config, Scenario2Config
-from repro.backend import (
-    ARRAY_BACKEND_ALIASES,
-    array_backend_names,
-    available_array_backends,
-)
 from repro.fem.backends import BACKEND_ALIASES, available_backends, backend_names
 from repro.experiments.convergence import convergence_table, run_convergence_study
 from repro.experiments.scenario1 import run_scenario1, scenario1_table
@@ -221,16 +216,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
             "backends fall back gracefully (default: paper settings)"
         ),
     )
-    parser.add_argument(
-        "--array-backend",
-        default=None,
-        choices=sorted({*array_backend_names(), *ARRAY_BACKEND_ALIASES}),
-        help=(
-            "dense array backend for the element/field kernels; unavailable "
-            "optional backends fall back to numpy (default: numpy, or the "
-            "REPRO_ARRAY_BACKEND environment variable)"
-        ),
-    )
     _add_jobs_argument(parser, "the parallel local stage")
 
 
@@ -312,15 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="persistent ROM cache directory shared across runs",
-    )
-    run.add_argument(
-        "--array-backend",
-        default=None,
-        choices=sorted({*array_backend_names(), *ARRAY_BACKEND_ALIASES}),
-        help=(
-            "dense array backend override; beats the spec's solver.array_backend "
-            "and the REPRO_ARRAY_BACKEND environment variable"
-        ),
     )
     _add_jobs_argument(run, "the parallel local stage")
     run.add_argument(
@@ -663,11 +639,6 @@ def _command_info() -> int:
     for name in backend_names():
         status = "available" if name in usable else "unavailable (falls back)"
         print(f"  {name:12s}  {status}")
-    usable_arrays = set(available_array_backends())
-    print("\narray backends (--array-backend):")
-    for name in array_backend_names():
-        status = "available" if name in usable_arrays else "unavailable (falls back)"
-        print(f"  {name:12s}  {status}")
     return 0
 
 
@@ -700,11 +671,7 @@ def _spec_from_args(args: argparse.Namespace) -> SimulationSpec:
             nodes_per_axis=(args.nodes, args.nodes, args.nodes),
             points_per_block=args.points_per_block,
         ),
-        solver=SolverSpec(
-            backend=args.solver_backend,
-            jobs=args.jobs,
-            array_backend=args.array_backend or "numpy",
-        ),
+        solver=SolverSpec(backend=args.solver_backend, jobs=args.jobs),
         load_cases=(LoadCase(name="cli", delta_t=args.delta_t),),
         output=output,
     )
@@ -934,7 +901,6 @@ def _command_run(args: argparse.Namespace) -> int:
         spec,
         rom_cache=args.rom_cache,
         jobs=args.jobs,
-        array_backend=args.array_backend,
         checkpoint_dir=checkpoint_dir,
     )
     json_mode = args.json_path == "-"

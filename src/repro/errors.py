@@ -73,7 +73,7 @@ class SpecError(ValidationError):
 
 
 class BackendError(ValidationError):
-    """An unknown solver/array backend, or no usable fallback for one."""
+    """An unknown solver backend, or no usable fallback for one."""
 
     code = "backend_unavailable"
     http_status = 400

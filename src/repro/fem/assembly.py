@@ -7,13 +7,10 @@ and each distinct element matrix is computed exactly once.  Scatter into the
 sparse global matrix is chunked to bound peak memory on multi-million-DoF
 reference meshes.
 
-Backend seam: the dense element kernels (:func:`element_stiffness`,
-:func:`element_thermal_load`) run on the active array backend (``bm``).
-Everything from the scatter onward — DoF maps, ``np.unique`` grouping, the
-scipy COO/CSR machinery, ``np.add.at`` — is numpy/scipy-only, so the kernel
-results cross back to host numpy through ``bm.asnumpy()`` exactly where the
-per-group tables are filled below.  On the default numpy backend
-``bm.asnumpy`` is the identity, keeping assembly bit-for-bit unchanged.
+The dense element kernels (:func:`element_stiffness`,
+:func:`element_thermal_load`) fill per-group tables; everything from the
+scatter onward — DoF maps, ``np.unique`` grouping, the scipy COO/CSR
+machinery, ``np.add.at`` — works on those tables.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.backend import backend_manager as bm
 from repro.fem.element import element_stiffness, element_thermal_load
 from repro.fem.elasticity import ElementMaterialData, material_arrays_for_mesh
 from repro.materials.library import MaterialLibrary
@@ -114,11 +110,7 @@ def assemble_stiffness(
     ke_per_group = np.empty((num_groups, 24, 24), dtype=np.float64)
     for group in range(num_groups):
         d_matrix = material_data.d_matrices[group_tag_index[group]]
-        # bm.asnumpy() seam: the element kernel runs on the array backend,
-        # the sparse scatter below stays numpy/scipy.
-        ke_per_group[group] = bm.asnumpy(
-            element_stiffness(tuple(group_sizes[group]), d_matrix)
-        )
+        ke_per_group[group] = element_stiffness(tuple(group_sizes[group]), d_matrix)
 
     connectivity = mesh.element_connectivity()
     dof_map = element_dof_map(connectivity)
@@ -165,13 +157,10 @@ def assemble_thermal_load(
     fe_per_group = np.empty((num_groups, 24), dtype=np.float64)
     for group in range(num_groups):
         tag_index = int(group_tag_index[group])
-        # bm.asnumpy() seam: kernel on the array backend, scatter on numpy.
-        fe_per_group[group] = bm.asnumpy(
-            element_thermal_load(
-                tuple(group_sizes[group]),
-                material_data.d_matrices[tag_index],
-                thermal_strain_unit[tag_index],
-            )
+        fe_per_group[group] = element_thermal_load(
+            tuple(group_sizes[group]),
+            material_data.d_matrices[tag_index],
+            thermal_strain_unit[tag_index],
         )
 
     connectivity = mesh.element_connectivity()

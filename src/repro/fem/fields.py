@@ -10,17 +10,13 @@ constitutive law of the paper (Eq. 1):
     \\sigma = \\lambda\\,\\mathrm{tr}(\\epsilon) I + 2\\mu\\,\\epsilon
               - \\alpha (3\\lambda + 2\\mu) \\Delta T\\, I
 
-The dense interpolation/recovery math runs on the active array backend
-(``bm``); point location and DoF gathers stay numpy, and every public method
-returns host numpy arrays through the ``bm.asnumpy()`` seam (identity on the
-default numpy backend, so results are bit-for-bit unchanged there).
+Every public method returns numpy arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import backend_manager as bm
 from repro.fem.assembly import element_dof_map
 from repro.fem.elasticity import ElementMaterialData, material_arrays_for_mesh
 from repro.fem.element import shape_function_gradients, shape_functions
@@ -43,16 +39,14 @@ def von_mises(stress_voigt: np.ndarray) -> np.ndarray:
     numpy.ndarray
         Von Mises stress, shape ``(...,)``.
     """
-    stress = bm.asarray(stress_voigt, dtype=bm.ftype)
+    stress = np.asarray(stress_voigt, dtype=float)
     if stress.shape[-1] != 6:
         raise ValidationError(f"stress must have 6 components, got {tuple(stress.shape)}")
     sxx, syy, szz = stress[..., 0], stress[..., 1], stress[..., 2]
     syz, sxz, sxy = stress[..., 3], stress[..., 4], stress[..., 5]
-    return bm.asnumpy(
-        bm.sqrt(
-            0.5 * ((sxx - syy) ** 2 + (syy - szz) ** 2 + (szz - sxx) ** 2)
-            + 3.0 * (sxy**2 + syz**2 + sxz**2)
-        )
+    return np.sqrt(
+        0.5 * ((sxx - syy) ** 2 + (syy - szz) ** 2 + (szz - sxx) ** 2)
+        + 3.0 * (sxy**2 + syz**2 + sxz**2)
     )
 
 
@@ -100,46 +94,40 @@ class FieldEvaluator:
         numpy.ndarray
             Displacements of shape ``(n, 3)``.
         """
-        # backend-seam: host-side points/DOF arrays enter here; kernels below run on bm
         points = np.atleast_2d(np.asarray(points, dtype=float))
         displacement = self._check_displacement(displacement)
         element_ids, local = self.mesh.locate_points(points)
-        n_values = shape_functions(local)  # (n, 8), on the array backend
+        n_values = shape_functions(local)  # (n, 8)
         element_dofs = self._dof_map[element_ids]  # (n, 24)
         u_elements = displacement[element_dofs].reshape(points.shape[0], 8, 3)
-        return bm.asnumpy(
-            bm.einsum("pa,pac->pc", n_values, bm.asarray(u_elements, dtype=bm.ftype))
-        )
+        return np.einsum("pa,pac->pc", n_values, u_elements)
 
     # ------------------------------------------------------------------ #
     # strain / stress
     # ------------------------------------------------------------------ #
     def strain_at(self, points: np.ndarray, displacement: np.ndarray) -> np.ndarray:
         """Evaluate the Voigt strain (engineering shear) at arbitrary points."""
-        # backend-seam: host-side points/DOF arrays enter here; kernels below run on bm
         points = np.atleast_2d(np.asarray(points, dtype=float))
         displacement = self._check_displacement(displacement)
         element_ids, local = self.mesh.locate_points(points)
         grads = shape_function_gradients(local, self._sizes[element_ids])  # (n, 8, 3)
         element_dofs = self._dof_map[element_ids]
-        u_elements = bm.asarray(
-            displacement[element_dofs].reshape(points.shape[0], 8, 3), dtype=bm.ftype
-        )
+        u_elements = displacement[element_dofs].reshape(points.shape[0], 8, 3)
 
-        strain = bm.zeros((points.shape[0], 6), dtype=bm.ftype)
-        strain[:, 0] = bm.einsum("pa,pa->p", grads[:, :, 0], u_elements[:, :, 0])
-        strain[:, 1] = bm.einsum("pa,pa->p", grads[:, :, 1], u_elements[:, :, 1])
-        strain[:, 2] = bm.einsum("pa,pa->p", grads[:, :, 2], u_elements[:, :, 2])
-        strain[:, 3] = bm.einsum("pa,pa->p", grads[:, :, 2], u_elements[:, :, 1]) + bm.einsum(
+        strain = np.zeros((points.shape[0], 6), dtype=float)
+        strain[:, 0] = np.einsum("pa,pa->p", grads[:, :, 0], u_elements[:, :, 0])
+        strain[:, 1] = np.einsum("pa,pa->p", grads[:, :, 1], u_elements[:, :, 1])
+        strain[:, 2] = np.einsum("pa,pa->p", grads[:, :, 2], u_elements[:, :, 2])
+        strain[:, 3] = np.einsum("pa,pa->p", grads[:, :, 2], u_elements[:, :, 1]) + np.einsum(
             "pa,pa->p", grads[:, :, 1], u_elements[:, :, 2]
         )
-        strain[:, 4] = bm.einsum("pa,pa->p", grads[:, :, 2], u_elements[:, :, 0]) + bm.einsum(
+        strain[:, 4] = np.einsum("pa,pa->p", grads[:, :, 2], u_elements[:, :, 0]) + np.einsum(
             "pa,pa->p", grads[:, :, 0], u_elements[:, :, 2]
         )
-        strain[:, 5] = bm.einsum("pa,pa->p", grads[:, :, 1], u_elements[:, :, 0]) + bm.einsum(
+        strain[:, 5] = np.einsum("pa,pa->p", grads[:, :, 1], u_elements[:, :, 0]) + np.einsum(
             "pa,pa->p", grads[:, :, 0], u_elements[:, :, 1]
         )
-        return bm.asnumpy(strain)
+        return strain
 
     def stress_at(
         self, points: np.ndarray, displacement: np.ndarray, delta_t: float = 0.0
@@ -150,25 +138,24 @@ class FieldEvaluator:
         to; the thermal eigenstrain of the element material is subtracted
         before applying Hooke's law.
         """
-        # backend-seam: host-side points/DOF arrays enter here; kernels below run on bm
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        strain = bm.asarray(self.strain_at(points, displacement), dtype=bm.ftype)
+        strain = self.strain_at(points, displacement)
         element_ids, _ = self.mesh.locate_points(points)
         tag_index = self.material_data.tag_index_of_element[element_ids]
-        lam = bm.asarray(self.material_data.lame_lambda[tag_index], dtype=bm.ftype)
-        mu = bm.asarray(self.material_data.lame_mu[tag_index], dtype=bm.ftype)
-        cte = bm.asarray(self.material_data.cte[tag_index], dtype=bm.ftype)
+        lam = self.material_data.lame_lambda[tag_index]
+        mu = self.material_data.lame_mu[tag_index]
+        cte = self.material_data.cte[tag_index]
 
         trace = strain[:, 0] + strain[:, 1] + strain[:, 2]
         thermal = cte * float(delta_t) * (3.0 * lam + 2.0 * mu)
-        stress = bm.zeros_like(strain)
+        stress = np.zeros_like(strain)
         stress[:, 0] = lam * trace + 2.0 * mu * strain[:, 0] - thermal
         stress[:, 1] = lam * trace + 2.0 * mu * strain[:, 1] - thermal
         stress[:, 2] = lam * trace + 2.0 * mu * strain[:, 2] - thermal
         stress[:, 3] = mu * strain[:, 3]
         stress[:, 4] = mu * strain[:, 4]
         stress[:, 5] = mu * strain[:, 5]
-        return bm.asnumpy(stress)
+        return stress
 
     def von_mises_at(
         self, points: np.ndarray, displacement: np.ndarray, delta_t: float = 0.0

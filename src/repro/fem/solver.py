@@ -26,7 +26,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import faults
-from repro.backend import active_array_backend_name
 from repro.fem.backends import (
     FactorizedOperator,
     SolveStats,
@@ -135,7 +134,6 @@ class LinearSolver:
             # A different backend answered (unavailable at resolution time,
             # or failed over mid-solve); record the substitution.
             stats.method = f"{requested}->{stats.method}"
-        stats.array_backend = active_array_backend_name()
         self.last_stats = stats
         return solution
 

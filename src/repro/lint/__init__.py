@@ -1,9 +1,9 @@
 """``repro.lint`` — AST-based invariant analyzer for the repro codebase.
 
 Mechanically enforces the contracts the stack's reliability rests on:
-atomic-write discipline (REP001), fault-site coverage (REP002), backend
-purity (REP003), error-taxonomy completeness (REP004), lock discipline
-(REP005) and schema-version discipline (REP006).  See
+atomic-write discipline (REP001), fault-site coverage (REP002),
+error-taxonomy completeness (REP004), lock discipline (REP005) and
+schema-version discipline (REP006).  See
 ``docs/INVARIANTS.md`` for the rule reference and suppression workflow.
 """
 

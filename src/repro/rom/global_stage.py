@@ -38,7 +38,6 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.backend import active_array_backend_name
 from repro.fem.backends import resolve_backend
 from repro.fem.boundary import DirichletBC, lift_system
 from repro.fem.solver import FactorizedOperator, LinearSolver, SolveStats, SolverOptions
@@ -498,7 +497,6 @@ class GlobalStage:
                     residual_norm=float(residuals[case]),
                     converged=True,
                     unknowns=manager.num_global_dofs,
-                    array_backend=active_array_backend_name(),
                 ),
             )
             for case in range(len(delta_ts))

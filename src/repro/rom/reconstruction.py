@@ -10,10 +10,8 @@ function gradients, material lookup — is computed once per block *kind* and
 reused for every block, which keeps the global-stage post-processing time
 negligible compared to the solve.
 
-The per-point dense math (shape-function contractions, Hooke's law) runs on
-the active array backend (``bm``); DoF gathers and grid geometry stay numpy
-and public methods return host numpy arrays via ``bm.asnumpy()`` (identity on
-the default numpy backend).
+The per-point dense math (shape-function contractions, Hooke's law) is
+vectorised over all sample points of a block.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import backend_manager as bm
 from repro.fem.assembly import element_dof_map
 from repro.fem.elasticity import material_arrays_for_mesh
 from repro.fem.element import shape_function_gradients, shape_functions
@@ -137,19 +134,14 @@ class BlockFieldSampler:
         and :meth:`stress_from_fine` halves the reconstruction cost when both
         fields are sampled (the full-field export path).
         """
-        # backend-seam: host-side points/DOF arrays enter here; kernels below run on bm
         fine_displacement = np.asarray(fine_displacement, dtype=float).ravel()
         if fine_displacement.size != self.rom.mesh.num_dofs:
             raise ValidationError(
                 f"fine displacement has {fine_displacement.size} entries, "
                 f"expected {self.rom.mesh.num_dofs}"
             )
-        u_elements = bm.asarray(
-            fine_displacement[self._element_dofs].reshape(self.points.shape[0], 8, 3),
-            dtype=bm.ftype,
-        )
-        shape_values = bm.asarray(self._shape_values, dtype=bm.ftype)
-        return bm.asnumpy(bm.einsum("pa,pac->pc", shape_values, u_elements))
+        u_elements = fine_displacement[self._element_dofs].reshape(self.points.shape[0], 8, 3)
+        return np.einsum("pa,pac->pc", self._shape_values, u_elements)
 
     def stress(self, nodal_displacement: np.ndarray, delta_t: float) -> np.ndarray:
         """Voigt stress at the sample points, shape ``(p, 6)`` (paper Eq. 1)."""
@@ -158,44 +150,38 @@ class BlockFieldSampler:
 
     def stress_from_fine(self, fine_displacement: np.ndarray, delta_t: float) -> np.ndarray:
         """Voigt stress at the sample points from a fine-mesh displacement vector."""
-        # backend-seam: host-side points/DOF arrays enter here; kernels below run on bm
         fine_displacement = np.asarray(fine_displacement, dtype=float).ravel()
         if fine_displacement.size != self.rom.mesh.num_dofs:
             raise ValidationError(
                 f"fine displacement has {fine_displacement.size} entries, "
                 f"expected {self.rom.mesh.num_dofs}"
             )
-        u_elements = bm.asarray(
-            fine_displacement[self._element_dofs].reshape(self.points.shape[0], 8, 3),
-            dtype=bm.ftype,
-        )
-        grads = bm.asarray(self._grads, dtype=bm.ftype)
-        strain = bm.zeros((self.points.shape[0], 6), dtype=bm.ftype)
-        strain[:, 0] = bm.einsum("pa,pa->p", grads[:, :, 0], u_elements[:, :, 0])
-        strain[:, 1] = bm.einsum("pa,pa->p", grads[:, :, 1], u_elements[:, :, 1])
-        strain[:, 2] = bm.einsum("pa,pa->p", grads[:, :, 2], u_elements[:, :, 2])
-        strain[:, 3] = bm.einsum("pa,pa->p", grads[:, :, 2], u_elements[:, :, 1]) + bm.einsum(
+        u_elements = fine_displacement[self._element_dofs].reshape(self.points.shape[0], 8, 3)
+        grads = self._grads
+        strain = np.zeros((self.points.shape[0], 6), dtype=float)
+        strain[:, 0] = np.einsum("pa,pa->p", grads[:, :, 0], u_elements[:, :, 0])
+        strain[:, 1] = np.einsum("pa,pa->p", grads[:, :, 1], u_elements[:, :, 1])
+        strain[:, 2] = np.einsum("pa,pa->p", grads[:, :, 2], u_elements[:, :, 2])
+        strain[:, 3] = np.einsum("pa,pa->p", grads[:, :, 2], u_elements[:, :, 1]) + np.einsum(
             "pa,pa->p", grads[:, :, 1], u_elements[:, :, 2]
         )
-        strain[:, 4] = bm.einsum("pa,pa->p", grads[:, :, 2], u_elements[:, :, 0]) + bm.einsum(
+        strain[:, 4] = np.einsum("pa,pa->p", grads[:, :, 2], u_elements[:, :, 0]) + np.einsum(
             "pa,pa->p", grads[:, :, 0], u_elements[:, :, 2]
         )
-        strain[:, 5] = bm.einsum("pa,pa->p", grads[:, :, 1], u_elements[:, :, 0]) + bm.einsum(
+        strain[:, 5] = np.einsum("pa,pa->p", grads[:, :, 1], u_elements[:, :, 0]) + np.einsum(
             "pa,pa->p", grads[:, :, 0], u_elements[:, :, 1]
         )
         trace = strain[:, 0] + strain[:, 1] + strain[:, 2]
-        lam = bm.asarray(self._lam, dtype=bm.ftype)
-        mu = bm.asarray(self._mu, dtype=bm.ftype)
-        cte = bm.asarray(self._cte, dtype=bm.ftype)
+        lam, mu, cte = self._lam, self._mu, self._cte
         thermal = cte * float(delta_t) * (3.0 * lam + 2.0 * mu)
-        stress = bm.empty_like(strain)
+        stress = np.empty_like(strain)
         stress[:, 0] = lam * trace + 2.0 * mu * strain[:, 0] - thermal
         stress[:, 1] = lam * trace + 2.0 * mu * strain[:, 1] - thermal
         stress[:, 2] = lam * trace + 2.0 * mu * strain[:, 2] - thermal
         stress[:, 3] = mu * strain[:, 3]
         stress[:, 4] = mu * strain[:, 4]
         stress[:, 5] = mu * strain[:, 5]
-        return bm.asnumpy(stress)
+        return stress
 
     def von_mises(self, nodal_displacement: np.ndarray, delta_t: float) -> np.ndarray:
         """Von Mises stress at the sample points, shape ``(p,)``."""

@@ -44,7 +44,6 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.backend import active_array_backend_name
 from repro.fem.boundary import DirichletBC, lift_system
 from repro.fem.solver import FactorizedOperator, SolveStats
 from repro.geometry.array_layout import TSVArrayLayout
@@ -597,7 +596,6 @@ def solve_sharded(
         residual_norm=residual_norm,
         converged=converged,
         unknowns=num_dofs,
-        array_backend=active_array_backend_name(),
     )
     solution = GlobalSolution(
         layout=layout,

@@ -271,6 +271,45 @@ class TestCheckpointResume:
                 result.case(name).von_mises, fresh.case(name).von_mises
             )
 
+    def test_marker_with_old_solve_stats_layout_is_re_solved(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        # Markers written while SolveStats still carried an array_backend
+        # field no longer rebuild; the group is re-solved, never crashed on.
+        import repro.api.executor as executor_module
+        from repro.utils.serialization import (
+            CHECKSUM_KEY,
+            load_npz_bundle,
+            save_npz_bundle,
+        )
+
+        spec = self._spec()
+        checkpoint = tmp_path / "checkpoint"
+        fresh = run(spec, checkpoint_dir=checkpoint)
+        marker = checkpoint / "group0.npz"
+        arrays, metadata = load_npz_bundle(marker)
+        metadata.pop(CHECKSUM_KEY, None)
+        for info in metadata["results"]:
+            info["solver_stats"]["array_backend"] = "numpy"
+        save_npz_bundle(marker, arrays, metadata=metadata)
+
+        real_execute = executor_module.execute_cases
+        executed = []
+
+        def counting_execute(simulator, layout, delta_ts, **kwargs):
+            executed.append(tuple(delta_ts))
+            return real_execute(simulator, layout, delta_ts, **kwargs)
+
+        monkeypatch.setattr(executor_module, "execute_cases", counting_execute)
+        with caplog.at_level("WARNING", logger="repro.api.executor"):
+            resumed = run(spec, checkpoint_dir=checkpoint)
+        assert executed == [(-250.0, -100.0)]
+        assert "stale checkpoint" in caplog.text
+        for name in ("a", "b", "c"):
+            np.testing.assert_array_equal(
+                resumed.case(name).von_mises, fresh.case(name).von_mises
+            )
+
     def test_marker_of_a_different_spec_is_ignored(self, tmp_path):
         checkpoint = tmp_path / "checkpoint"
         first = self._spec()

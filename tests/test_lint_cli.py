@@ -79,7 +79,6 @@ class TestJsonEnvelope:
         assert {r["id"] for r in data["rules"]} >= {
             "REP001",
             "REP002",
-            "REP003",
             "REP004",
             "REP005",
             "REP006",
@@ -137,13 +136,13 @@ class TestListRules:
     def test_text_listing(self, clean_tree, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006"):
+        for rule_id in ("REP001", "REP002", "REP004", "REP005", "REP006"):
             assert rule_id in out
 
     def test_json_listing(self, clean_tree, capsys):
         assert main(["lint", "--list-rules", "--json"]) == 0
         data = unwrap(json.loads(capsys.readouterr().out), expected_kind="lint")
-        assert len(data["rules"]) >= 6
+        assert len(data["rules"]) >= 5
 
 
 class TestWriteRegistry:
