@@ -28,7 +28,6 @@ if str(_SRC) not in sys.path:
 
 import numpy as np  # noqa: E402
 
-from repro.fem.solver import SolverOptions  # noqa: E402
 from repro.geometry.array_layout import BlockKind, TSVArrayLayout  # noqa: E402
 from repro.geometry.tsv import TSVGeometry  # noqa: E402
 from repro.geometry.unit_block import UnitBlockGeometry  # noqa: E402
@@ -71,9 +70,7 @@ def main() -> None:
     rom = local.build(UnitBlockGeometry(tsv=TSVGeometry.paper_default(pitch=15.0)))
     local_seconds = time.perf_counter() - start
 
-    stage = GlobalStage(
-        {BlockKind.TSV: rom}, materials, solver_options=SolverOptions(method="direct")
-    )
+    stage = GlobalStage({BlockKind.TSV: rom}, materials)
     layout = TSVArrayLayout.full(rom.block.tsv, rows=args.size)
 
     start = time.perf_counter()

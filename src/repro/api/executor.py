@@ -9,10 +9,8 @@ are thin adapters over :func:`execute_cases`).  The executor
    (reduced order models are built **once** per run — they depend only on the
    geometry/mesh/scheme/material fingerprint, not on array size or load),
 2. groups load cases by ``(rows, cols, location)``: cases in a group share
-   the same global system, so a multi-case group is solved with **one**
-   assembly + factorisation via :meth:`GlobalStage.solve_many` while a
-   single-case group takes the plain :meth:`GlobalStage.solve` path
-   (bit-identical to a direct ``simulate_array`` call),
+   the same global system, so each group is solved with **one** assembly +
+   factorisation via :meth:`GlobalStage.solve_many`,
 3. for sub-model specs, solves the coarse package model once per distinct
    thermal load and applies its displacements to the padded layouts, and
 4. returns a :class:`RunResult` with per-case stress fields, diagnostics and
@@ -58,7 +56,6 @@ def execute_cases(
     delta_ts: Sequence[float | ThermalLoad],
     boundary: str = "clamped",
     displacement_fields=None,
-    batched: bool | None = None,
     shard: "ShardSpec | None" = None,
     heartbeat: Callable[[], None] | None = None,
 ) -> "list[SimulationResult]":
@@ -67,15 +64,13 @@ def execute_cases(
     This is the single execution path behind :func:`run`,
     :meth:`MoreStressSimulator.simulate_array` and
     :meth:`MoreStressSimulator.simulate_load_sweep`: build (or fetch cached)
-    ROMs, assemble the global stage and solve.  ``batched=False`` forces the
-    plain per-case solve, ``batched=True`` the factorize-once
-    :meth:`GlobalStage.solve_many` path; the default batches whenever more
-    than one load is given.
+    ROMs, assemble the global stage and solve every load with one
+    factorisation (:meth:`GlobalStage.solve_many`).
 
     ``shard`` opts the global stage into the out-of-core sharded solver
     (:func:`repro.rom.shard.solve_sharded`) — in auto mode (budget only) the
     planner may still decide the monolithic path fits, in which case the
-    paths above apply unchanged.  ``heartbeat`` is called at every shard
+    path above applies unchanged.  ``heartbeat`` is called at every shard
     boundary of a sharded solve; an exception raised from it aborts the run
     (the job service's cancellation hook).
     """
@@ -86,8 +81,6 @@ def execute_cases(
         load.delta_t if isinstance(load, ThermalLoad) else float(load)
         for load in delta_ts
     ]
-    if batched is None:
-        batched = len(loads) > 1
     plan = None
     if shard is not None:
         plan = plan_for(
@@ -101,11 +94,7 @@ def execute_cases(
     include_dummy = layout.num_dummy_blocks > 0
     roms = simulator.build_roms(include_dummy=include_dummy)
 
-    stage = GlobalStage(
-        roms=roms,
-        materials=simulator.materials,
-        solver_options=simulator.solver_options,
-    )
+    stage = GlobalStage(roms=roms, materials=simulator.materials)
     timer = Timer()
     shard_stats: "list[dict | None]" = [None] * len(loads)
     with PeakMemoryTracker() as tracker, timer:
@@ -132,27 +121,13 @@ def execute_cases(
                 )
                 solutions.append(solution)
                 shard_stats[load_index] = stats.to_dict()
-        elif batched:
+        else:
             solutions = stage.solve_many(
                 layout,
                 loads,
                 boundary_condition=boundary,
                 displacement_fields=displacement_fields,
             )
-        else:
-            displacement_field = displacement_fields
-            if isinstance(displacement_field, (list, tuple)):
-                displacement_field = (
-                    displacement_field[0] if displacement_field else None
-                )
-            solutions = [
-                stage.solve(
-                    layout,
-                    delta_t=loads[0],
-                    boundary_condition=boundary,
-                    displacement_field=displacement_field,
-                )
-            ]
     return [
         SimulationResult(
             solution=solution,
@@ -376,7 +351,6 @@ def run(
         library,
         mesh_resolution=spec.mesh.build_resolution(),
         nodes_per_axis=spec.mesh.nodes_per_axis,
-        solver_options=spec.solver.build_options(),
         rom_cache=rom_cache,
         jobs=jobs if jobs is not None else spec.solver.jobs,
     )
@@ -457,7 +431,6 @@ def run(
                 delta_ts,
                 boundary=boundary,
                 displacement_fields=displacement_fields,
-                batched=len(members) > 1,
                 shard=spec.solver.shard,
                 heartbeat=heartbeat,
             )

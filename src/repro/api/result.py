@@ -70,8 +70,9 @@ class CaseResult:
         a group were solved with **one** assembly + factorisation
         (:meth:`GlobalStage.solve_many`).
     solver_method:
-        The solver/backed actually used (from :class:`SolveStats`), e.g.
-        ``"gmres"`` or ``"direct-batched"``.
+        The global solver that answered (from :class:`SolveStats`):
+        ``"direct-splu"`` for every monolithic solve, ``"shard-RxC-schwarz"``
+        for a sharded one.
     shard:
         Sharded-solve provenance (shard grid, overlap, Schwarz iterations,
         per-shard peak RSS — :meth:`repro.rom.shard.ShardRunStats.to_dict`)

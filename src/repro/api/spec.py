@@ -29,7 +29,6 @@ from typing import Any, Mapping, Sequence
 # (repro.errors); importing it from here keeps working.
 from repro.errors import SpecError
 from repro.fem.backends import BACKEND_ALIASES, backend_names
-from repro.fem.solver import SolverOptions
 from repro.geometry.tsv import TSVGeometry
 from repro.materials.library import (
     ROLE_COPPER,
@@ -63,10 +62,15 @@ from repro.utils.validation import (
 #: * 4 — drops the array-backend name again: the kernels are plain numpy.
 #:   Older documents carrying it load with the name checked and dropped
 #:   (see :func:`_drop_array_backend_name`).
-SCHEMA_VERSION = 4
+#: * 5 — drops the global-solver knobs (``method``, ``backend``, ``rtol``,
+#:   ``max_iterations``, ``gmres_restart``): the global stage always
+#:   eliminates its constrained DoFs and factorises once.  Older documents
+#:   carrying them load with each value checked and dropped (see
+#:   :func:`_drop_global_solver_knobs`).
+SCHEMA_VERSION = 5
 
 #: Spec document versions this build can read.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4)
+SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4, 5)
 
 #: Material roles that may be overridden (the roles the meshers tag).
 KNOWN_MATERIAL_ROLES = (
@@ -557,17 +561,12 @@ class ShardSpec:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class SolverSpec:
-    """Global-stage solver configuration plus the local-stage worker count.
+    """The local-stage worker count and the global stage's sharding.
 
     ``shard`` (version 3) opts the global stage into the out-of-core
     sharded solver; ``None`` keeps the monolithic path.
     """
 
-    method: str = "gmres"
-    backend: str | None = None
-    rtol: float = 1e-9
-    max_iterations: int = 5000
-    gmres_restart: int = 100
     jobs: int | None = None
     shard: ShardSpec | None = None
 
@@ -576,34 +575,11 @@ class SolverSpec:
             raise ValidationError(
                 f"shard must be a ShardSpec or None, got {self.shard!r}"
             )
-        if self.backend is not None:
-            known = sorted({*backend_names(), *BACKEND_ALIASES})
-            if self.backend not in known:
-                raise ValidationError(
-                    f"backend must be one of {known} or null, got {self.backend!r}"
-                )
-        # SolverOptions validates method/rtol/max_iterations eagerly.
-        self.build_options()
         if self.jobs is not None:
             check_positive_int("jobs", self.jobs)
 
-    def build_options(self) -> SolverOptions:
-        """The :class:`SolverOptions` this spec describes."""
-        return SolverOptions(
-            method=self.method,
-            backend=self.backend,
-            rtol=self.rtol,
-            max_iterations=self.max_iterations,
-            gmres_restart=self.gmres_restart,
-        )
-
     def to_dict(self) -> dict[str, Any]:
         return {
-            "method": self.method,
-            "backend": self.backend,
-            "rtol": self.rtol,
-            "max_iterations": self.max_iterations,
-            "gmres_restart": self.gmres_restart,
             "jobs": self.jobs,
             "shard": None if self.shard is None else self.shard.to_dict(),
         }
@@ -614,19 +590,6 @@ class SolverSpec:
         allowed = [f.name for f in fields(cls)]
         _reject_unknown(data, allowed, path)
         kwargs = {
-            "method": _string(_get(data, "method", path, cls.method), f"{path}.method"),
-            "backend": _optional(
-                _get(data, "backend", path, None), _string, f"{path}.backend"
-            ),
-            "rtol": _number(_get(data, "rtol", path, cls.rtol), f"{path}.rtol"),
-            "max_iterations": _integer(
-                _get(data, "max_iterations", path, cls.max_iterations),
-                f"{path}.max_iterations",
-            ),
-            "gmres_restart": _integer(
-                _get(data, "gmres_restart", path, cls.gmres_restart),
-                f"{path}.gmres_restart",
-            ),
             "jobs": _optional(_get(data, "jobs", path, None), _integer, f"{path}.jobs"),
         }
         raw_shard = _get(data, "shard", path, None)
@@ -657,6 +620,43 @@ def _drop_array_backend_name(solver: Any, path: str) -> Any:
             f"got {name!r}"
         )
     return {key: value for key, value in solver.items() if key != "array_backend"}
+
+
+#: The global-solver knobs a version 1–4 solver section could carry: how to
+#: parse each value and the rule it had to meet.
+_GLOBAL_SOLVER_KNOBS = {
+    "method": (
+        _string,
+        lambda value: value in ("direct", "cg", "gmres"),
+        "must be 'direct', 'cg' or 'gmres'",
+    ),
+    "backend": (
+        lambda value, path: _optional(value, _string, path),
+        lambda value: value is None or value in {*backend_names(), *BACKEND_ALIASES},
+        "must name a solver backend or be null",
+    ),
+    "rtol": (_number, lambda value: 0.0 < value < 1.0, "must lie in (0, 1)"),
+    "max_iterations": (_integer, lambda value: value >= 1, "must be >= 1"),
+    "gmres_restart": (_integer, lambda value: True, ""),
+}
+
+
+def _drop_global_solver_knobs(solver: Any, path: str) -> Any:
+    """Migrate a version 1–4 solver section: check and drop the solver knobs.
+
+    The global stage no longer reads them, so a valid value changes
+    nothing; an invalid one was an error then and stays one.
+    """
+    if not isinstance(solver, Mapping):
+        return solver
+    for key, (parse, valid, rule) in _GLOBAL_SOLVER_KNOBS.items():
+        if key in solver:
+            value = parse(solver[key], f"{path}.{key}")
+            if not valid(value):
+                raise SpecError(f"{path}.{key}: {rule}, got {value!r}")
+    return {
+        key: value for key, value in solver.items() if key not in _GLOBAL_SOLVER_KNOBS
+    }
 
 
 # --------------------------------------------------------------------------- #
@@ -1049,6 +1049,8 @@ class SimulationSpec:
         raw_solver = _get(data, "solver", path, {})
         if version < 4:
             raw_solver = _drop_array_backend_name(raw_solver, f"{path}.solver")
+        if version < 5:
+            raw_solver = _drop_global_solver_knobs(raw_solver, f"{path}.solver")
         raw_cases = _get(data, "load_cases", path, [LoadCase().to_dict()])
         if not isinstance(raw_cases, (list, tuple)):
             raise SpecError(f"{path}.load_cases: expected a list, got {raw_cases!r}")

@@ -20,8 +20,8 @@ Backends shipped by default:
     symmetric positive definite systems.  Falls back to a direct solve when
     it does not converge.
 ``gmres``
-    Restarted GMRES with a Jacobi preconditioner, for the non-symmetric
-    lifted global system (the paper's choice).
+    Restarted GMRES with a Jacobi preconditioner, for non-symmetric systems
+    (the paper's choice for its lifted global system).
 ``cholmod``
     CHOLMOD sparse Cholesky via ``scikit-sparse``, when importable.
 ``pyamg``
@@ -153,8 +153,8 @@ class SparseBackend:
     Attributes
     ----------
     name:
-        Canonical registry name (what ``--solver-backend`` accepts and what
-        ``SolveStats.method`` reports).
+        Canonical registry name (what ``LocalStage(solver_backend=...)``
+        accepts and what ``SolveStats.method`` reports).
     fallback:
         Backends tried, in order, when this one is unavailable; the registry
         appends ``"direct-splu"`` as the terminal fallback.

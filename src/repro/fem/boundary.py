@@ -1,18 +1,16 @@
-"""Dirichlet boundary conditions: lifting and static condensation.
+"""Dirichlet boundary conditions: static condensation (and lifting).
 
-Two equivalent treatments are provided, matching the two places they are used
-in the paper:
+Every solve in the package applies Dirichlet constraints one way:
+:func:`reduce_system` (built on :func:`split_system`) eliminates the
+constrained DoFs, producing the smaller symmetric positive definite system
+``A_ff x_f = b_f - A_fb u_b`` (paper Eq. 13).  The local stage, the global
+stage and its shards, and every baseline (full FEM, coarse model,
+superposition) use it.
 
-* :func:`lift_system` implements the "lifting" procedure of §4.2: rows of the
-  stiffness matrix belonging to constrained DoFs are replaced by identity rows
-  and the right-hand side receives the prescribed values.  The solution of the
-  lifted system contains the prescribed values exactly.  This keeps the system
-  at full size (handy for the global ROM stage where constrained and free DoFs
-  interleave arbitrarily).
-* :func:`reduce_system` eliminates the constrained DoFs instead, producing the
-  smaller symmetric positive definite system
-  ``A_ff x_f = b_f - A_fb u_b`` (paper Eq. 13).  This is what the local stage
-  and the conjugate-gradient reference solver use.
+:func:`lift_system` implements the "lifting" procedure of the paper's §4.2
+instead: rows of the stiffness matrix belonging to constrained DoFs are
+replaced by identity rows and the right-hand side receives the prescribed
+values.  No solver uses it; it is kept as an independent oracle for tests.
 """
 
 from __future__ import annotations
@@ -192,8 +190,8 @@ def lift_system(
 
     Rows of ``matrix`` belonging to constrained DoFs are replaced by identity
     rows and the corresponding entries of ``rhs`` are set to the prescribed
-    values.  The returned matrix is no longer symmetric, which is why the
-    global ROM problem is solved with GMRES or a direct factorisation.
+    values.  The returned matrix is no longer symmetric; it has the same
+    solution as the eliminated system of :func:`reduce_system`.
     """
     matrix = matrix.tocsr(copy=True)
     rhs = np.asarray(rhs, dtype=float).copy()

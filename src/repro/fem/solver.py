@@ -6,8 +6,8 @@ The package needs three kinds of solves:
   hundreds of right-hand sides (:class:`FactorizedOperator`);
 * the reference full-FEM solver handles the largest systems and uses either a
   direct factorisation or preconditioned conjugate gradients;
-* the global ROM system is modest in size but non-symmetric after lifting, so
-  it is solved with GMRES (the paper's choice) or a direct factorisation.
+* the global ROM stage eliminates its constrained DoFs and factorises the
+  SPD free-DoF system once (:func:`factorize_direct`).
 
 The actual numerics live in the pluggable backends of
 :mod:`repro.fem.backends` (SuperLU, Jacobi-preconditioned CG/GMRES and the
@@ -21,6 +21,7 @@ options dataclass keeps the choice explicit and testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +38,8 @@ from repro.utils.logging import get_logger
 from repro.utils.validation import ValidationError
 
 _logger = get_logger("fem.solver")
+
+T = TypeVar("T")
 
 #: Legacy ``method`` values and the backend each one routes to.
 _METHOD_BACKENDS = {"direct": "direct-splu", "cg": "cg", "gmres": "gmres"}
@@ -111,17 +114,17 @@ class LinearSolver:
             )
         backend, requested = resolve_backend(self.options.effective_backend)
         answered = backend
-        try:
-            # Each backend is a named fault site: an injected transient
-            # failure exercises the fallback chain below.
-            faults.fault_point(f"fem.backends.{backend.name}")
-            solution, stats = backend.solve(matrix, rhs, self.options)
-        except faults.TransientFaultError as exc:
-            if backend.name == "direct-splu":
-                # Bottom of the chain: a one-off failure retries in place.
-                _logger.warning("solver: transient failure (%s); retrying", exc)
+        if backend.name == "direct-splu":
+            solution, stats = _retry_direct(
+                lambda: backend.solve(matrix, rhs, self.options)
+            )
+        else:
+            try:
+                # Each backend is a named fault site: an injected transient
+                # failure exercises the fallback to direct-splu below.
+                faults.fault_point(f"fem.backends.{backend.name}")
                 solution, stats = backend.solve(matrix, rhs, self.options)
-            else:
+            except faults.TransientFaultError as exc:
                 _logger.warning(
                     "solver: transient failure in backend %s (%s); "
                     "falling back to direct-splu",
@@ -138,4 +141,33 @@ class LinearSolver:
         return solution
 
 
-__all__ = ["SolverOptions", "SolveStats", "FactorizedOperator", "LinearSolver"]
+def _retry_direct(call: Callable[[], T]) -> T:
+    """Run a direct-splu call behind its fault site.
+
+    direct-splu is the bottom of every fallback chain, so a one-off
+    transient failure retries the call in place.
+    """
+    try:
+        faults.fault_point("fem.backends.direct-splu")
+        return call()
+    except faults.TransientFaultError as exc:
+        _logger.warning("solver: transient failure (%s); retrying", exc)
+        return call()
+
+
+def factorize_direct(matrix: sp.spmatrix) -> FactorizedOperator:
+    """SuperLU factorisation of ``matrix`` for repeated back-substitution.
+
+    Shares the ``fem.backends.direct-splu`` fault site and its in-place
+    retry with :class:`LinearSolver`.
+    """
+    return _retry_direct(lambda: FactorizedOperator(matrix))
+
+
+__all__ = [
+    "SolverOptions",
+    "SolveStats",
+    "FactorizedOperator",
+    "LinearSolver",
+    "factorize_direct",
+]

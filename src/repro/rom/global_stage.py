@@ -9,9 +9,15 @@ global stage assembles the array-level "abstract" finite element problem:
   standard assembly procedure using the shared global interpolation-node
   numbering (:class:`~repro.rom.global_dofs.GlobalDofManager`),
 * Dirichlet conditions (clamped surfaces or sub-model boundary displacements)
-  are applied by lifting, and
-* the system is solved with GMRES (the paper's choice) or a direct
-  factorisation.
+  are applied by eliminating the constrained DoFs (paper Eq. 13, as in the
+  local stage), and
+* the symmetric positive definite free-DoF system is factorised once with
+  SuperLU and back-substituted for every thermal load.
+
+This deviates from §4.2, which lifts the constraints into the full-size
+system and solves the resulting non-symmetric matrix with GMRES.  Elimination
+gives the same solution from a smaller SPD system, and one factorisation
+serves every case of a sweep.
 
 Assembly is batched: the per-block gather maps are stacked into one array and
 all COO triplets are produced with a handful of vectorized operations, so the
@@ -19,28 +25,23 @@ global stage scales to 100x100 arrays without a per-block Python loop.  The
 original per-block loop is retained as :meth:`GlobalStage.assemble_reference`
 for equivalence tests and benchmarks; both produce identical matrices.
 
-Because the reduced problem is linear in the thermal load and the lifted
-matrix depends only on *which* DoFs are constrained (not on their values),
-:meth:`GlobalStage.solve_many` factorises the lifted system once and
-back-substitutes arbitrarily many ``delta_t`` / boundary-value combinations —
-the cheap parameter-sweep mode the paper's one-shot terminology promises.
-
 The resulting :class:`GlobalSolution` reconstructs displacement and stress
 fields inside any block from the local basis functions (Eq. 15).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.fem.backends import resolve_backend
-from repro.fem.boundary import DirichletBC, lift_system
-from repro.fem.solver import FactorizedOperator, LinearSolver, SolveStats, SolverOptions
+from repro.fem.boundary import DirichletBC, split_system
+# Not used here: the benchmark tracer (perfbench/tracing.py) wraps this
+# module attribute, and is its only reader.
+from repro.fem.boundary import lift_system  # noqa: F401
+from repro.fem.solver import SolveStats, factorize_direct
 from repro.geometry.array_layout import BlockKind, TSVArrayLayout
 from repro.materials.library import MaterialLibrary
 from repro.rom.global_dofs import GlobalDofManager
@@ -51,6 +52,13 @@ from repro.utils.timing import StageTimings
 from repro.utils.validation import ValidationError
 
 _logger = get_logger("rom.global_stage")
+
+#: Largest normwise backward error ``||r|| / (||A_ff|| ||x|| + ||b||)`` with
+#: which a global solve still reports ``converged``.
+BACKWARD_ERROR_TOLERANCE = 1e-10
+
+#: The ``solver_method`` every monolithic global solve reports.
+SOLVER_METHOD = "direct-splu"
 
 
 def _check_rom_consistency(
@@ -97,16 +105,10 @@ class GlobalStage:
         dummy blocks).
     materials:
         Material library (used for stress reconstruction).
-    solver_options:
-        Options of the global linear solve.  The default follows the paper
-        and uses GMRES; ``"direct"`` is also supported.
     """
 
     roms: dict[BlockKind, ReducedOrderModel]
     materials: MaterialLibrary
-    solver_options: SolverOptions = field(
-        default_factory=lambda: SolverOptions(method="gmres", rtol=1e-9)
-    )
 
     # ------------------------------------------------------------------ #
     # assembly
@@ -263,6 +265,34 @@ class GlobalStage:
         prescribed[2::3] = values[:, 2]
         return DirichletBC(dofs=dofs, values=prescribed)
 
+    @classmethod
+    def boundary_condition_for(
+        cls,
+        manager: GlobalDofManager,
+        boundary_condition: DirichletBC | str,
+        displacement_field=None,
+    ) -> DirichletBC:
+        """The :class:`DirichletBC` a ``boundary_condition`` argument names.
+
+        ``"clamped"`` clamps the top and bottom faces, ``"submodel"``
+        prescribes ``displacement_field`` on the outer boundary and an
+        explicit :class:`DirichletBC` is returned as is.
+        """
+        if isinstance(boundary_condition, DirichletBC):
+            return boundary_condition
+        if boundary_condition == "clamped":
+            return cls.clamped_top_bottom_bc(manager)
+        if boundary_condition == "submodel":
+            if displacement_field is None:
+                raise ValidationError(
+                    "a displacement field is required for the 'submodel' BC "
+                    "(displacement_fields)"
+                )
+            return cls.prescribed_boundary_bc(manager, displacement_field)
+        raise ValidationError(
+            "boundary_condition must be 'clamped', 'submodel' or a DirichletBC"
+        )
+
     # ------------------------------------------------------------------ #
     # solve
     # ------------------------------------------------------------------ #
@@ -273,67 +303,13 @@ class GlobalStage:
         boundary_condition: DirichletBC | str = "clamped",
         displacement_field=None,
     ) -> "GlobalSolution":
-        """Assemble and solve the global problem of a layout.
+        """Assemble and solve the global problem of one thermal load.
 
-        Parameters
-        ----------
-        layout:
-            The TSV array layout to analyse.
-        delta_t:
-            Thermal load (degC difference from the stress-free temperature).
-        boundary_condition:
-            ``"clamped"`` (top/bottom clamped, first paper scenario),
-            ``"submodel"`` (displacements from ``displacement_field`` applied
-            to the whole outer boundary, paper §4.4) or an explicit
-            :class:`DirichletBC` in global reduced-DoF numbering.
-        displacement_field:
-            Required for ``"submodel"``: callable mapping global coordinates
-            to displacements.
+        The one-case :meth:`solve_many`; see there for the parameters.
         """
-        timings = StageTimings()
-        with timings.measure("assembly"):
-            matrix, rhs, manager = self.assemble(layout, delta_t)
-
-        with timings.measure("boundary_conditions"):
-            if isinstance(boundary_condition, DirichletBC):
-                bc = boundary_condition
-            elif boundary_condition == "clamped":
-                bc = self.clamped_top_bottom_bc(manager)
-            elif boundary_condition == "submodel":
-                if displacement_field is None:
-                    raise ValidationError(
-                        "displacement_field is required for the 'submodel' BC"
-                    )
-                bc = self.prescribed_boundary_bc(manager, displacement_field)
-            else:
-                raise ValidationError(
-                    "boundary_condition must be 'clamped', 'submodel' or a DirichletBC"
-                )
-            lifted_matrix, lifted_rhs = lift_system(matrix, rhs, bc)
-
-        solver = LinearSolver(self.solver_options)
-        start = time.perf_counter()
-        solution = solver.solve(lifted_matrix, lifted_rhs)
-        timings.add("solve", time.perf_counter() - start)
-
-        _logger.info(
-            "global stage: %dx%d blocks, %d reduced dofs, solve=%.3fs (%s)",
-            layout.rows,
-            layout.cols,
-            manager.num_global_dofs,
-            timings.get("solve"),
-            self.solver_options.method,
-        )
-        return GlobalSolution(
-            layout=layout,
-            roms=self.roms,
-            materials=self.materials,
-            manager=manager,
-            nodal_displacement=solution,
-            delta_t=float(delta_t),
-            timings=timings,
-            solver_stats=solver.last_stats,
-        )
+        return self.solve_many(
+            layout, [delta_t], boundary_condition, displacement_field
+        )[0]
 
     def solve_many(
         self,
@@ -344,34 +320,40 @@ class GlobalStage:
     ) -> list["GlobalSolution"]:
         """Solve one layout for many thermal loads with a single factorisation.
 
-        The reduced right-hand side is linear in ``delta_t`` and the lifted
-        matrix depends only on *which* DoFs are constrained, so the layout is
-        assembled and the lifted system factorised exactly once; every
-        ``(delta_t, boundary values)`` case is then a cheap back-substitution.
-        This is the batched mode of the global stage for thermal sweeps and
-        for sub-modeling variants that prescribe different displacements on
-        the same boundary DoFs.
+        The layout is assembled at unit load and split once into free and
+        constrained DoFs; the SPD free block ``A_ff`` is factorised once and
+        every case back-substitutes ``delta_t * b_f - A_fb u_b`` (paper
+        Eq. 13), so a thermal sweep or a set of sub-model variants costs one
+        factorisation.
 
         Parameters
         ----------
         layout:
             The TSV array layout to analyse.
         delta_ts:
-            Thermal loads, one per case.
+            Thermal loads (degC difference from the stress-free
+            temperature), one per case.
         boundary_condition:
-            ``"clamped"``, ``"submodel"`` or an explicit :class:`DirichletBC`
-            shared by all cases (same meaning as in :meth:`solve`).
+            ``"clamped"`` (top/bottom clamped, first paper scenario),
+            ``"submodel"`` (displacements from ``displacement_fields``
+            prescribed on the whole outer boundary, paper §4.4) or an
+            explicit :class:`DirichletBC` in global reduced-DoF numbering,
+            shared by all cases.
         displacement_fields:
-            For ``"submodel"``: either a single callable shared by all cases
-            or one callable per ``delta_t``.  All sub-model variants constrain
-            the same outer-boundary DoFs, so the factorisation is still shared.
+            For ``"submodel"``: one callable mapping global coordinates to
+            displacements shared by all cases, or one callable per
+            ``delta_t``.  All variants constrain the same outer-boundary
+            DoFs, so the factorisation is still shared.
 
         Returns
         -------
         list of :class:`GlobalSolution`
             One solution per thermal load, in input order.  All solutions
             share the assembled system's :class:`GlobalDofManager` and a
-            common :class:`StageTimings` record.
+            common :class:`StageTimings` record.  Each reports ``converged``
+            when its normwise backward error
+            ``||r|| / (||A_ff|| ||x|| + ||b||)`` is at most
+            :data:`BACKWARD_ERROR_TOLERANCE`.
         """
         delta_ts = [float(delta_t) for delta_t in delta_ts]
         if not delta_ts:
@@ -384,100 +366,60 @@ class GlobalStage:
             matrix, unit_rhs, manager = self.assemble(layout, 1.0)
 
         with timings.measure("boundary_conditions"):
-            if isinstance(boundary_condition, DirichletBC):
-                bcs = [boundary_condition] * len(delta_ts)
-            elif boundary_condition == "clamped":
-                bcs = [self.clamped_top_bottom_bc(manager)] * len(delta_ts)
-            elif boundary_condition == "submodel":
-                if displacement_fields is None:
+            if boundary_condition == "submodel" and not (
+                displacement_fields is None or callable(displacement_fields)
+            ):
+                fields = list(displacement_fields)
+                if len(fields) != len(delta_ts):
                     raise ValidationError(
-                        "displacement_fields is required for the 'submodel' BC"
+                        f"got {len(fields)} displacement fields for "
+                        f"{len(delta_ts)} thermal loads"
                     )
-                if callable(displacement_fields):
-                    # One shared field: build the (identical) BC once.
-                    bcs = [
-                        self.prescribed_boundary_bc(manager, displacement_fields)
-                    ] * len(delta_ts)
-                else:
-                    fields = list(displacement_fields)
-                    if len(fields) != len(delta_ts):
-                        raise ValidationError(
-                            f"got {len(fields)} displacement fields for "
-                            f"{len(delta_ts)} thermal loads"
-                        )
-                    bcs = [self.prescribed_boundary_bc(manager, f) for f in fields]
+                bcs = [self.prescribed_boundary_bc(manager, f) for f in fields]
             else:
-                raise ValidationError(
-                    "boundary_condition must be 'clamped', 'submodel' or a DirichletBC"
-                )
-            constrained = bcs[0].dofs
+                bcs = [
+                    self.boundary_condition_for(
+                        manager, boundary_condition, displacement_fields
+                    )
+                ] * len(delta_ts)
             for bc in bcs[1:]:
-                if bc.dofs is not constrained and not np.array_equal(bc.dofs, constrained):
+                if not np.array_equal(bc.dofs, bcs[0].dofs):
                     raise ValidationError(
                         "all cases of solve_many must constrain the same DoFs "
-                        "(the lifted matrix is shared)"
+                        "(the factorised free-DoF matrix is shared)"
                     )
-            # Lifting the matrix only needs the constrained DoF set; per-case
-            # values enter through the right-hand side below.
-            lifted_matrix, _ = lift_system(
-                matrix, np.zeros(manager.num_global_dofs), bcs[0]
-            )
+            split = split_system(matrix, bcs[0])
+            values = np.column_stack([bc.values for bc in bcs])
+            rhs = np.outer(unit_rhs[split.free_dofs], delta_ts) - split.a_fb @ values
 
         with timings.measure("factorize"):
-            # The batched mode always factorises; the configured backend
-            # supplies the factorisation (iterative backends delegate to
-            # SuperLU).  A backend that cannot factorise the non-symmetric
-            # lifted matrix (e.g. CHOLMOD) degrades to SuperLU.
-            backend, _ = resolve_backend(self.solver_options.effective_backend)
-            try:
-                operator = backend.factorize(lifted_matrix)
-            except Exception:
-                _logger.warning(
-                    "backend %r could not factorise the lifted global matrix; "
-                    "using direct-splu",
-                    backend.name,
-                )
-                operator = FactorizedOperator(lifted_matrix)
-            batched_method = (
-                "direct-batched"
-                if isinstance(operator, FactorizedOperator)
-                else f"{backend.name}-batched"
-            )
+            operator = factorize_direct(split.a_ff)
 
         with timings.measure("solve"):
-            rhs_block = np.empty((manager.num_global_dofs, len(delta_ts)))
-            for case, (delta_t, bc) in enumerate(zip(delta_ts, bcs)):
-                rhs_block[:, case] = delta_t * unit_rhs
-                rhs_block[bc.dofs, case] = bc.values
-            solution_block = operator.solve(rhs_block)
-            residuals = np.linalg.norm(
-                lifted_matrix @ solution_block - rhs_block, axis=0
+            free = operator.solve(rhs)
+            residuals = np.linalg.norm(split.a_ff @ free - rhs, axis=0)
+            scale = np.linalg.norm(split.a_ff.data) * np.linalg.norm(
+                free, axis=0
+            ) + np.linalg.norm(rhs, axis=0)
+            backward_errors = np.divide(
+                residuals, scale, out=np.zeros_like(residuals), where=scale > 0
             )
-            if not isinstance(operator, FactorizedOperator):
-                # An alternative factorisation (e.g. CHOLMOD) can silently
-                # mis-factorise the non-symmetric lifted matrix; verify the
-                # residuals and redo the batch with SuperLU if they are off.
-                rhs_norms = np.linalg.norm(rhs_block, axis=0)
-                tolerance = 10 * self.solver_options.rtol
-                if np.any(residuals > tolerance * np.maximum(rhs_norms, 1e-30)):
-                    _logger.warning(
-                        "batched global solve via %r failed the residual "
-                        "check; re-solving with direct-splu",
-                        batched_method,
-                    )
-                    operator = FactorizedOperator(lifted_matrix)
-                    batched_method = "direct-batched"
-                    solution_block = operator.solve(rhs_block)
-                    residuals = np.linalg.norm(
-                        lifted_matrix @ solution_block - rhs_block, axis=0
-                    )
+            solution_block = split.expand(free, values)
 
+        converged = backward_errors <= BACKWARD_ERROR_TOLERANCE
+        if not converged.all():
+            _logger.warning(
+                "global stage: backward error %.2e exceeds %.0e",
+                backward_errors.max(),
+                BACKWARD_ERROR_TOLERANCE,
+            )
         _logger.info(
-            "global stage (batched): %dx%d blocks, %d reduced dofs, "
-            "%d loads, factorize=%.3fs solve=%.3fs",
+            "global stage: %dx%d blocks, %d reduced dofs (%d free), %d load(s), "
+            "factorize=%.3fs solve=%.3fs",
             layout.rows,
             layout.cols,
             manager.num_global_dofs,
+            split.num_free,
             len(delta_ts),
             timings.get("factorize"),
             timings.get("solve"),
@@ -489,17 +431,17 @@ class GlobalStage:
                 materials=self.materials,
                 manager=manager,
                 nodal_displacement=solution_block[:, case].copy(),
-                delta_t=delta_ts[case],
+                delta_t=delta_t,
                 timings=timings,
                 solver_stats=SolveStats(
-                    method=batched_method,
+                    method=SOLVER_METHOD,
                     iterations=1,
                     residual_norm=float(residuals[case]),
-                    converged=True,
+                    converged=bool(converged[case]),
                     unknowns=manager.num_global_dofs,
                 ),
             )
-            for case in range(len(delta_ts))
+            for case, delta_t in enumerate(delta_ts)
         ]
 
 
@@ -616,4 +558,9 @@ class GlobalSolution:
         return self.manager.num_global_dofs
 
 
-__all__ = ["GlobalStage", "GlobalSolution"]
+__all__ = [
+    "BACKWARD_ERROR_TOLERANCE",
+    "SOLVER_METHOD",
+    "GlobalStage",
+    "GlobalSolution",
+]

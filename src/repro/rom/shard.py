@@ -20,9 +20,10 @@ module trades one big factorisation for many small ones:
   sweep is deterministic (Jacobi-style: all shards of an iteration read the
   same frozen accumulator).
 * Convergence is certified against the *monolithic* equations: the true
-  residual of the lifted global system is evaluated by streaming the
+  residual of the global system (the equilibrium residual on the free DoFs
+  plus the mismatch on the constrained ones) is evaluated by streaming the
   element-level matvec in bounded chunks (never materialising the global
-  matrix), so a converged sharded solve satisfies exactly the system
+  matrix), so a converged sharded solve satisfies the equations
   ``GlobalStage.solve`` would have factorised — to the requested tolerance.
 
 Peak memory is the global accumulator plus the in-flight window of shard
@@ -44,8 +45,8 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.fem.boundary import DirichletBC, lift_system
-from repro.fem.solver import FactorizedOperator, SolveStats
+from repro.fem.boundary import DirichletBC, reduce_system
+from repro.fem.solver import SolveStats, factorize_direct
 from repro.geometry.array_layout import TSVArrayLayout
 from repro.rom.global_dofs import GlobalDofManager
 from repro.rom.global_stage import GlobalSolution, GlobalStage, _check_rom_consistency
@@ -385,8 +386,9 @@ def _solve_shard(
         dofs=np.nonzero(problem.bc_mask)[0],
         values=accumulator[problem.parent_dofs[problem.bc_mask]],
     )
-    lifted_matrix, lifted_rhs = lift_system(matrix, rhs, bc)
-    solution = FactorizedOperator(lifted_matrix).solve(lifted_rhs)
+    a_ff, reduced_rhs, split = reduce_system(matrix, rhs, bc)
+    del matrix
+    solution = split.expand(factorize_direct(a_ff).solve(reduced_rhs), bc.values)
     owned = problem.owned_mask
     return problem.parent_dofs[owned], solution[owned], _read_rss_bytes() or 0
 
@@ -409,16 +411,15 @@ def solve_sharded(
 ) -> tuple[GlobalSolution, ShardRunStats]:
     """Solve a layout out-of-core via overlapping shards (additive Schwarz).
 
-    Equivalent to ``GlobalStage.solve`` (same lifted equations, certified by
-    a streamed true-residual check) but never assembles or factorises the
+    Equivalent to ``GlobalStage.solve`` (same equations, certified by a
+    streamed true-residual check) but never assembles or factorises the
     monolithic system: peak memory is the global accumulator plus
     ``max_inflight`` shard systems.
 
     Parameters
     ----------
     stage:
-        The :class:`GlobalStage` holding the ROMs/materials (its
-        ``solver_options`` are not used — shards always factorise directly).
+        The :class:`GlobalStage` holding the ROMs/materials.
     plan, grid, overlap:
         Either a prebuilt :class:`ShardPlan` or a ``(rows, cols)`` shard grid
         plus overlap ring width to plan with.
@@ -426,8 +427,7 @@ def solve_sharded(
         Relative true-residual tolerance of the Schwarz iteration.
     max_iterations:
         Hard cap on Schwarz iterations; exceeding it returns the best
-        accumulator with ``converged=False`` in the stats (mirroring the
-        iterative ``LinearSolver`` behaviour).
+        accumulator with ``converged=False`` in the stats.
     max_inflight:
         Shards assembled/factorised concurrently (the memory-bounding
         window).  Defaults to the resolved ``jobs`` worker count.
@@ -466,20 +466,9 @@ def solve_sharded(
     num_dofs = manager.num_global_dofs
 
     with timings.measure("boundary_conditions"):
-        if isinstance(boundary_condition, DirichletBC):
-            bc = boundary_condition
-        elif boundary_condition == "clamped":
-            bc = GlobalStage.clamped_top_bottom_bc(manager)
-        elif boundary_condition == "submodel":
-            if displacement_field is None:
-                raise ValidationError(
-                    "displacement_field is required for the 'submodel' BC"
-                )
-            bc = GlobalStage.prescribed_boundary_bc(manager, displacement_field)
-        else:
-            raise ValidationError(
-                "boundary_condition must be 'clamped', 'submodel' or a DirichletBC"
-            )
+        bc = GlobalStage.boundary_condition_for(
+            manager, boundary_condition, displacement_field
+        )
     constrained_mask = np.zeros(num_dofs, dtype=bool)
     constrained_mask[bc.dofs] = True
 
@@ -504,12 +493,15 @@ def solve_sharded(
     load = np.bincount(
         block_dofs.ravel(), weights=rhs_stack[codes].ravel(), minlength=num_dofs
     )
-    lifted_load = load.copy()
-    lifted_load[bc.dofs] = bc.values
-    load_norm = float(np.linalg.norm(lifted_load)) or 1.0
+    target = load.copy()
+    target[bc.dofs] = bc.values
+    load_norm = float(np.linalg.norm(target)) or 1.0
 
     def relative_residual(u: np.ndarray) -> tuple[float, float]:
-        """True residual of the lifted global system, streamed in chunks.
+        """True residual of the global system, streamed in chunks.
+
+        Free rows carry the equilibrium residual ``f - K u``; constrained
+        rows carry the mismatch between the prescribed and current values.
 
         Returns ``(relative, absolute)`` where the relative residual is the
         backward error ``||r|| / (||f|| + sqrt(sum_b ||K_b u_b||^2))``.  The

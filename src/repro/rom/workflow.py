@@ -15,14 +15,13 @@ backward compatibility.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.fem.solver import SolverOptions
+from repro.fem.backends import canonical_backend_name
 from repro.geometry.array_layout import BlockKind, TSVArrayLayout
 from repro.geometry.tsv import TSVGeometry
 from repro.geometry.unit_block import UnitBlockGeometry
@@ -122,8 +121,6 @@ class MoreStressSimulator:
     nodes_per_axis:
         Lagrange interpolation nodes per axis (paper ``(nx, ny, nz)``,
         default ``(4, 4, 4)`` as in the paper's main experiments).
-    solver_options:
-        Options of the global linear solve (default: GMRES, as in the paper).
     rom_cache:
         Optional :class:`~repro.rom.cache.ROMCache` (or a cache directory).
         When set, the one-shot local stage is skipped entirely whenever a ROM
@@ -134,10 +131,10 @@ class MoreStressSimulator:
         solves, independent block builds).  ``None`` uses one worker per
         CPU; results are bit-identical to ``jobs=1``.
     solver_backend:
-        Optional :mod:`repro.fem.backends` backend name applied to both
-        stages: it overrides ``solver_options.backend`` for the global solve
-        and supplies the local stage's factorisation.  Unavailable optional
-        backends fall back gracefully.
+        Optional :mod:`repro.fem.backends` backend name supplying the local
+        stage's factorisation; unavailable optional backends fall back
+        gracefully.  The global stage always eliminates its constrained DoFs
+        and factorises with SuperLU.
 
     Example
     -------
@@ -151,9 +148,6 @@ class MoreStressSimulator:
     materials: MaterialLibrary = field(default_factory=MaterialLibrary.default)
     mesh_resolution: MeshResolution | str = "coarse"
     nodes_per_axis: tuple[int, int, int] = (4, 4, 4)
-    solver_options: SolverOptions = field(
-        default_factory=lambda: SolverOptions(method="gmres", rtol=1e-9)
-    )
     rom_cache: "ROMCache | str | Path | None" = None
     jobs: int | None = None
     solver_backend: str | None = None
@@ -165,9 +159,7 @@ class MoreStressSimulator:
         self.scheme = InterpolationScheme(tuple(self.nodes_per_axis))
         self.rom_cache = ROMCache.from_spec(self.rom_cache)
         if self.solver_backend is not None:
-            self.solver_options = dataclasses.replace(
-                self.solver_options, backend=self.solver_backend
-            )
+            self.solver_backend = canonical_backend_name(self.solver_backend)
 
     # ------------------------------------------------------------------ #
     # local stage management
@@ -281,7 +273,6 @@ class MoreStressSimulator:
             [delta_t],
             boundary=boundary,
             displacement_fields=displacement_field,
-            batched=False,
         )[0]
 
     def simulate_load_sweep(
@@ -296,7 +287,7 @@ class MoreStressSimulator:
         """Simulate one array under many thermal loads with one factorisation.
 
         .. deprecated::
-            Thin adapter over :func:`repro.api.execute_cases` (batched mode);
+            Thin adapter over :func:`repro.api.execute_cases`;
             prefer a multi-:class:`~repro.api.LoadCase`
             :class:`~repro.api.SimulationSpec` with :func:`repro.api.run`.
             The signature is kept stable.
@@ -317,7 +308,6 @@ class MoreStressSimulator:
             delta_ts,
             boundary=boundary,
             displacement_fields=displacement_fields,
-            batched=True,
         )
 
 

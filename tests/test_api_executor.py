@@ -36,7 +36,6 @@ def _simulator(spec: SimulationSpec) -> MoreStressSimulator:
         spec.materials.build_library(),
         mesh_resolution=spec.mesh.build_resolution(),
         nodes_per_axis=spec.mesh.nodes_per_axis,
-        solver_options=spec.solver.build_options(),
     )
 
 
@@ -54,7 +53,7 @@ class TestArrayRun:
             result.case("cooldown").von_mises, direct.von_mises_midplane(5)
         )
         assert result.num_case_groups == 1
-        assert result.case("cooldown").solver_method == "gmres"
+        assert result.case("cooldown").solver_method == "direct-splu"
 
     def test_material_overrides_change_the_answer(self):
         base = SimulationSpec(geometry=GeometrySpec(rows=2), mesh=MESH)
@@ -88,11 +87,10 @@ class TestLoadSweep:
         )
         result = run(SimulationSpec.from_json(spec.to_json()))
 
-        # One execution group, solved with the factorize-once batched path:
-        # the existing solve stats record it as "<backend>-batched".
+        # One execution group, solved with one factorisation.
         assert result.num_case_groups == 1
         assert all(case.group == 0 for case in result.cases)
-        assert all(case.solver_method.endswith("-batched") for case in result.cases)
+        assert all(case.solver_method == "direct-splu" for case in result.cases)
 
         direct = _simulator(spec).simulate_load_sweep(rows=2, delta_ts=delta_ts)
         for case, reference in zip(result.cases, direct):
@@ -112,9 +110,10 @@ class TestLoadSweep:
         assert result.num_case_groups == 2
         assert result.case("a").group == result.case("b").group
         assert result.case("c").group != result.case("a").group
-        # a+b share one factorisation; c is a single-case (plain solve) group.
-        assert result.case("a").solver_method.endswith("-batched")
-        assert result.case("c").solver_method == "gmres"
+        # a+b share one factorisation; c is a single-case group.  Every
+        # monolithic case reports the same solver.
+        assert result.case("a").solver_method == "direct-splu"
+        assert result.case("c").solver_method == "direct-splu"
         # the ROM build (local stage) is shared across all groups
         assert result.case("c").local_stage_seconds == result.case("a").local_stage_seconds
 
@@ -182,7 +181,7 @@ class TestRunResultPersistence:
         assert manifest["spec_hash"] == spec.spec_hash()
         assert manifest["spec"] == spec.to_dict()
         assert manifest["repro_version"]
-        assert manifest["backends_used"] == ["gmres"]
+        assert manifest["backends_used"] == ["direct-splu"]
         assert manifest["num_case_groups"] == 1
         assert manifest["cases"][0]["peak_von_mises"] > 0.0
 

@@ -42,7 +42,7 @@ def array_spec() -> SimulationSpec:
             )
         ),
         mesh=MeshSpec(resolution="tiny", nodes_per_axis=(3, 3, 3), points_per_block=7),
-        solver=SolverSpec(backend="direct-splu", jobs=2),
+        solver=SolverSpec(jobs=2),
         load_cases=(LoadCase(name="cooldown", delta_t=-250.0),),
     )
 
@@ -286,10 +286,6 @@ class TestBuildHelpers:
         resolution = spec.mesh.build_resolution()
         assert resolution.n_core == 2
         assert spec.mesh.build_scheme().nodes_per_axis == (3, 3, 3)
-
-    def test_solver_spec_builds_options(self):
-        options = array_spec().solver.build_options()
-        assert options.backend == "direct-splu"
 
     def test_geometry_spec_builds_tsv(self):
         tsv = array_spec().geometry.build_tsv()

@@ -101,32 +101,10 @@ class TestCLISolverBackendAndJobs:
                 "5",
                 "--jobs",
                 "2",
-                "--solver-backend",
-                "direct",
             ]
         )
         assert code == 0
         assert "peak von Mises" in capsys.readouterr().out
-
-    def test_simulate_with_optional_backend_falls_back(self, capsys):
-        # cholmod/pyamg may be missing from the environment; the CLI must
-        # degrade gracefully rather than crash.
-        code = main(
-            [
-                "simulate",
-                "--rows",
-                "1",
-                "--resolution",
-                "tiny",
-                "--nodes",
-                "3",
-                "--points-per-block",
-                "5",
-                "--solver-backend",
-                "cholmod",
-            ]
-        )
-        assert code == 0
 
     def test_unknown_backend_rejected_by_parser(self):
         with pytest.raises(SystemExit):

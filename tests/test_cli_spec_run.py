@@ -124,9 +124,9 @@ class TestRunExampleSpecs:
         assert main(["run", str(self.EXAMPLES / "load_sweep.json")]) == 0
         out = capsys.readouterr().out
         # three same-layout loads share one factorisation; the extra 5x5
-        # case is its own group
+        # case is its own group; every case is one direct solve
         assert "execution groups  : 2" in out
-        assert out.count("-batched") == 3
+        assert out.count("(direct-splu)") == 4
 
     def test_submodel_spec_runs(self, capsys):
         assert main(["run", str(self.EXAMPLES / "submodel.json")]) == 0

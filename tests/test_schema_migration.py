@@ -50,6 +50,26 @@ def _v2_spec_document() -> dict:
     return document
 
 
+#: The global-solver knobs versions 1–4 wrote, with the values they defaulted to.
+_V4_SOLVER_KNOBS = {
+    "method": "gmres",
+    "backend": None,
+    "rtol": 1e-9,
+    "max_iterations": 5000,
+    "gmres_restart": 100,
+}
+
+
+def _v4_spec_document(version: int = 4, **knobs) -> dict:
+    """Versions 1–4 carried the global-solver knobs in the solver section."""
+    document = SimulationSpec().to_dict()
+    document["schema_version"] = version
+    document["solver"].update({**_V4_SOLVER_KNOBS, **knobs})
+    if version < 3:
+        del document["solver"]["shard"]
+    return document
+
+
 def _v3_spec_document(array_backend: str, spec: SimulationSpec | None = None) -> dict:
     """Version 3 carried both ``array_backend`` and ``shard``."""
     document = (spec or SimulationSpec()).to_dict()
@@ -95,9 +115,9 @@ class TestSpecMigration:
         assert spec.to_dict()["schema_version"] == SCHEMA_VERSION
 
     def test_schema_version_bumped_and_supported(self):
-        assert SCHEMA_VERSION == 4
-        assert set(SUPPORTED_SCHEMA_VERSIONS) == {1, 2, 3, 4}
-        assert SimulationSpec().to_dict()["schema_version"] == 4
+        assert SCHEMA_VERSION == 5
+        assert set(SUPPORTED_SCHEMA_VERSIONS) == {1, 2, 3, 4, 5}
+        assert SimulationSpec().to_dict()["schema_version"] == 5
 
     def test_v3_torch_document_migration_loads_and_runs(self):
         # Version-3 runs that named torch always executed on numpy; the
@@ -150,6 +170,43 @@ class TestSpecMigration:
         document = SimulationSpec().to_dict()
         document["solver"]["array_backend"] = "numpy"
         with pytest.raises(SpecError, match=r"solver\.array_backend: unknown field"):
+            SimulationSpec.from_dict(document)
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_v1_to_v4_solver_knobs_migration(self, version):
+        # The knobs selected the global solve, which is now always one
+        # elimination + factorisation: they load, are dropped, and the spec
+        # is the same spec.
+        spec = SimulationSpec.from_dict(
+            _v4_spec_document(version, method="direct", backend="cholmod")
+        )
+        assert spec == SimulationSpec()
+        assert spec.spec_hash() == SimulationSpec().spec_hash()
+        assert set(spec.to_dict()["solver"]) == {"jobs", "shard"}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("method", "qr"),
+            ("method", 3),
+            ("backend", "petsc"),
+            ("rtol", 2),
+            ("rtol", "tight"),
+            ("max_iterations", 0),
+            ("max_iterations", 1.5),
+            ("gmres_restart", "many"),
+        ],
+    )
+    def test_invalid_solver_knob_migration_names_the_field(self, field, value):
+        # Checked by the rules they had, then dropped: a bad value still fails.
+        with pytest.raises(SpecError, match=rf"solver\.{field}:"):
+            SimulationSpec.from_dict(_v4_spec_document(**{field: value}))
+
+    @pytest.mark.parametrize("field", sorted(_V4_SOLVER_KNOBS))
+    def test_v5_document_rejects_solver_knobs_after_migration(self, field):
+        document = SimulationSpec().to_dict()
+        document["solver"][field] = _V4_SOLVER_KNOBS[field]
+        with pytest.raises(SpecError, match=rf"solver\.{field}: unknown field"):
             SimulationSpec.from_dict(document)
 
     def test_migrated_spec_solves_the_same_hash_space(self):

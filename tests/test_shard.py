@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fem.solver import SolverOptions
 from repro.geometry.array_layout import BlockKind, TSVArrayLayout
 from repro.rom.global_dofs import GlobalDofManager
 from repro.rom.global_stage import GlobalStage
@@ -34,7 +33,6 @@ def stage(materials, rom_tsv_tiny, rom_dummy_tiny) -> GlobalStage:
     return GlobalStage(
         roms={BlockKind.TSV: rom_tsv_tiny, BlockKind.DUMMY: rom_dummy_tiny},
         materials=materials,
-        solver_options=SolverOptions(method="direct"),
     )
 
 
