@@ -28,7 +28,6 @@ from typing import Any, Mapping, Sequence
 # Deprecated alias: SpecError now lives in the unified exception taxonomy
 # (repro.errors); importing it from here keeps working.
 from repro.errors import SpecError
-from repro.fem.backends import BACKEND_ALIASES, backend_names
 from repro.geometry.tsv import TSVGeometry
 from repro.materials.library import (
     ROLE_COPPER,
@@ -604,6 +603,19 @@ class SolverSpec:
 #: Array-backend names a version 1–3 solver section could carry.
 _LEGACY_ARRAY_BACKENDS = ("numpy", "np", "torch", "pytorch", "cupy")
 
+#: Solver-backend names (with their aliases) a version 1–4 solver section
+#: could carry.
+_LEGACY_SOLVER_BACKENDS = (
+    "direct-splu",
+    "direct",
+    "splu",
+    "cg",
+    "cg+jacobi",
+    "gmres",
+    "cholmod",
+    "pyamg",
+)
+
 
 def _drop_array_backend_name(solver: Any, path: str) -> Any:
     """Migrate a version 1–3 solver section: check and drop the backend name.
@@ -632,7 +644,7 @@ _GLOBAL_SOLVER_KNOBS = {
     ),
     "backend": (
         lambda value, path: _optional(value, _string, path),
-        lambda value: value is None or value in {*backend_names(), *BACKEND_ALIASES},
+        lambda value: value is None or value in _LEGACY_SOLVER_BACKENDS,
         "must name a solver backend or be null",
     ),
     "rtol": (_number, lambda value: 0.0 < value < 1.0, "must lie in (0, 1)"),

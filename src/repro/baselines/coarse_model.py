@@ -27,7 +27,7 @@ from repro.fem.assembly import assemble_stiffness, assemble_thermal_load
 from repro.fem.boundary import DirichletBC, reduce_system
 from repro.fem.elasticity import material_arrays_for_mesh
 from repro.fem.fields import FieldEvaluator
-from repro.fem.solver import LinearSolver, SolverOptions
+from repro.fem.solver import LinearSolver
 from repro.geometry.package import ChipletPackage
 from repro.materials.library import MaterialLibrary
 from repro.materials.material import IsotropicMaterial
@@ -117,15 +117,12 @@ class CoarseChipletModel:
     cells_per_layer:
         Number of coarse cells through the thickness of each layer, keyed by
         layer name; unspecified layers default to 2.
-    solver_options:
-        Linear solver options for the coarse solve.
     """
 
     package: ChipletPackage
     materials: MaterialLibrary = field(default_factory=MaterialLibrary.default)
     inplane_cells: int = 20
     cells_per_layer: dict[str, int] = field(default_factory=dict)
-    solver_options: SolverOptions = field(default_factory=lambda: SolverOptions(method="direct"))
 
     def __post_init__(self) -> None:
         check_positive_int("inplane_cells", self.inplane_cells)
@@ -190,7 +187,7 @@ class CoarseChipletModel:
         with timings.measure("boundary_conditions"):
             bc = self._rigid_body_constraints(mesh)
             reduced_matrix, reduced_rhs, split = reduce_system(stiffness, load, bc)
-        solver = LinearSolver(self.solver_options)
+        solver = LinearSolver()
         start = time.perf_counter()
         reduced_solution = solver.solve(reduced_matrix, reduced_rhs)
         timings.add("solve", time.perf_counter() - start)

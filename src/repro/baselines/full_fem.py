@@ -19,7 +19,7 @@ from repro.fem.boundary import DirichletBC, reduce_system
 from repro.fem.elasticity import material_arrays_for_mesh
 from repro.fem.fields import FieldEvaluator
 from repro.fem.sampling import PlaneSampler
-from repro.fem.solver import LinearSolver, SolveStats, SolverOptions
+from repro.fem.solver import LinearSolver, SolveStats
 from repro.geometry.array_layout import TSVArrayLayout
 from repro.materials.library import MaterialLibrary
 from repro.mesh.array_mesher import mesh_tsv_array
@@ -95,15 +95,14 @@ class FullFEMReference:
         Material library.
     resolution:
         Unit-block mesh resolution (the array mesh tiles it).
-    solver_options:
-        Linear solver configuration.  ``"direct"`` is robust for the scaled
-        benchmark sizes; ``"cg"`` trades time for memory on large arrays
-        (mirroring the "iterative" solver setting the paper uses in ANSYS).
+
+    The reduced system is solved with one SuperLU factorisation
+    (:class:`~repro.fem.solver.LinearSolver`), which suits the scaled
+    benchmark sizes; the paper runs ANSYS's iterative solver instead.
     """
 
     materials: MaterialLibrary
     resolution: MeshResolution | str = "coarse"
-    solver_options: SolverOptions = field(default_factory=lambda: SolverOptions(method="direct"))
 
     def __post_init__(self) -> None:
         self.resolution = MeshResolution.from_spec(self.resolution)
@@ -144,7 +143,7 @@ class FullFEMReference:
             with timings.measure("boundary_conditions"):
                 bc = self._boundary_condition(mesh, boundary, displacement_field)
                 reduced_matrix, reduced_rhs, split = reduce_system(stiffness, load, bc)
-            solver = LinearSolver(self.solver_options)
+            solver = LinearSolver()
             start = time.perf_counter()
             reduced_solution = solver.solve(reduced_matrix, reduced_rhs)
             timings.add("solve", time.perf_counter() - start)

@@ -29,7 +29,7 @@ from repro.fem.boundary import DirichletBC, reduce_system
 from repro.fem.elasticity import material_arrays_for_mesh
 from repro.fem.fields import FieldEvaluator, von_mises
 from repro.fem.sampling import midplane_grid_points
-from repro.fem.solver import LinearSolver, SolverOptions
+from repro.fem.solver import LinearSolver
 from repro.geometry.array_layout import BlockKind, TSVArrayLayout
 from repro.geometry.tsv import TSVGeometry
 from repro.materials.library import MaterialLibrary
@@ -119,14 +119,11 @@ class LinearSuperpositionMethod:
     window_blocks:
         Size (in unit blocks, odd) of the single-TSV simulation domain.  It
         also bounds the influence window of one TSV during superposition.
-    solver_options:
-        Linear solver used for the one-shot single-TSV FEM solves.
     """
 
     materials: MaterialLibrary
     resolution: MeshResolution | str = "coarse"
     window_blocks: int = 3
-    solver_options: SolverOptions = field(default_factory=lambda: SolverOptions(method="direct"))
     _influence: dict[tuple, _SingleTSVInfluence] = field(default_factory=dict, repr=False)
     _preparation_seconds: float = field(default=0.0, repr=False)
 
@@ -200,7 +197,7 @@ class LinearSuperpositionMethod:
         )
         bc = DirichletBC.from_nodes(clamped)
         reduced_matrix, reduced_rhs, split = reduce_system(stiffness, load, bc)
-        solver = LinearSolver(self.solver_options)
+        solver = LinearSolver()
         displacement = split.expand(solver.solve(reduced_matrix, reduced_rhs), bc.values)
         return displacement, FieldEvaluator(mesh, self.materials, material_data)
 

@@ -81,7 +81,6 @@ from repro.lint import (
     write_registry as write_fault_site_registry,
 )
 from repro.experiments.config import ConvergenceConfig, Scenario1Config, Scenario2Config
-from repro.fem.backends import available_backends, backend_names
 from repro.experiments.convergence import convergence_table, run_convergence_study
 from repro.experiments.scenario1 import run_scenario1, scenario1_table
 from repro.experiments.scenario2 import run_scenario2, scenario2_table
@@ -625,14 +624,7 @@ def _command_info() -> int:
     print("\ninterpolation schemes (nodes per axis -> element DoFs n, Eq. 16):")
     for nodes in ((2, 2, 2), (3, 3, 3), (4, 4, 4), (5, 5, 5), (6, 6, 6)):
         print(f"  {nodes}  ->  n = {InterpolationScheme(nodes).num_element_dofs}")
-    usable = set(available_backends())
-    print(
-        "\nsolver backends (local stage and baselines; the global stage "
-        "always factorises with direct-splu):"
-    )
-    for name in backend_names():
-        status = "available" if name in usable else "unavailable (falls back)"
-        print(f"  {name:12s}  {status}")
+    print("\nsparse solver: SuperLU (direct-splu), all stages")
     return 0
 
 

@@ -2,8 +2,8 @@
 
 Long-running ROM services fail in ways unit tests never exercise on their
 own: a torn write surfacing after a power loss, ``ENOSPC`` mid-checkpoint, a
-worker thread hung inside a sparse factorisation, a flaky solver backend.
-This module makes those failures *first-class and reproducible*: a
+worker thread hung inside a sparse factorisation, a factorisation that fails
+once.  This module makes those failures *first-class and reproducible*: a
 :class:`FaultPlan` is a seeded list of :class:`FaultRule`\\ s, each matching a
 named **fault site** by glob pattern and firing a specific fault kind with a
 per-site probability or on an exact call number.
@@ -24,7 +24,7 @@ Fault sites wired through the package:
 ``service.jobs.persist``        per-job JSON records of the :class:`JobStore`
 ``executor.checkpoint``         per-group resume markers of long sweeps
 ``service.pool.worker``         worker behaviour at attempt start
-``fem.backends.<name>``         sparse solves through a named backend
+``fem.backends.direct-splu``    every SuperLU factorisation (all stages)
 ==============================  =============================================
 
 Fault kinds:

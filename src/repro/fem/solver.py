@@ -1,108 +1,60 @@
-"""Sparse linear solvers.
+"""Sparse linear solves.
 
-The package needs three kinds of solves:
-
-* the one-shot local stage factorises one SPD matrix and solves it against
-  hundreds of right-hand sides (:class:`FactorizedOperator`);
-* the reference full-FEM solver handles the largest systems and uses either a
-  direct factorisation or preconditioned conjugate gradients;
-* the global ROM stage eliminates its constrained DoFs and factorises the
-  SPD free-DoF system once (:func:`factorize_direct`).
-
-The actual numerics live in the pluggable backends of
-:mod:`repro.fem.backends` (SuperLU, Jacobi-preconditioned CG/GMRES and the
-optional CHOLMOD/pyamg backends); :class:`LinearSolver` is the front-end that
-resolves the configured backend — with graceful fallback when an optional
-backend is missing — and records :class:`SolveStats` for every solve.  The
-PETSc backend of the paper is replaced by these SciPy equivalents; the solver
-options dataclass keeps the choice explicit and testable.
+Every solve in the package is a direct SuperLU factorisation: the local
+stage factorises one block matrix and back-substitutes hundreds of
+right-hand sides, the global ROM stage and the shards factorise their free
+DoF systems once per layout, and the baselines solve once.  All of them
+factorise through :func:`factorize_direct`, the one ``fem.backends.direct-splu``
+fault site.  :class:`LinearSolver` is the one-shot front end the baselines
+use; it records :class:`SolveStats` for every solve, with ``converged``
+computed from the normwise :func:`backward_error`.  The paper's PETSc solver
+is replaced by SciPy's SuperLU.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, TypeVar
-
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro import faults
-from repro.fem.backends import (
-    FactorizedOperator,
-    SolveStats,
-    _jacobi_preconditioner,  # noqa: F401  (re-exported for tests/back-compat)
-    canonical_backend_name,
-    resolve_backend,
-)
+from repro.fem.backends import FactorizedOperator, SolveStats
 from repro.utils.logging import get_logger
 from repro.utils.validation import ValidationError
 
 _logger = get_logger("fem.solver")
 
-T = TypeVar("T")
+#: The ``SolveStats.method`` of every solve.
+SOLVER_METHOD = "direct-splu"
 
-#: Legacy ``method`` values and the backend each one routes to.
-_METHOD_BACKENDS = {"direct": "direct-splu", "cg": "cg", "gmres": "gmres"}
+#: Largest normwise backward error ``||r|| / (||A||_F ||x|| + ||b||)`` with
+#: which a solve still reports ``converged``.
+BACKWARD_ERROR_TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Options controlling a sparse linear solve.
+def backward_error(
+    matrix: sp.spmatrix, solution: np.ndarray, rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual norms and normwise backward errors of ``matrix @ solution = rhs``.
 
-    Attributes
-    ----------
-    method:
-        ``"direct"`` (SuperLU), ``"cg"`` (Jacobi-preconditioned conjugate
-        gradients, SPD systems only) or ``"gmres"`` (restarted GMRES with a
-        Jacobi preconditioner).  Kept for backward compatibility; ``backend``
-        takes precedence when set.
-    backend:
-        Name of a :mod:`repro.fem.backends` backend (``"direct-splu"``,
-        ``"cg"``, ``"gmres"``, ``"cholmod"``, ``"pyamg"`` or an alias such as
-        ``"direct"``).  ``None`` derives the backend from ``method``.
-        Requesting an unavailable optional backend falls back along its
-        fallback chain at solve time; the substitution is recorded in
-        :attr:`SolveStats.method` as ``"requested->actual"``.
-    rtol:
-        Relative residual tolerance for the iterative methods.
-    max_iterations:
-        Iteration cap for the iterative methods.
-    gmres_restart:
-        Restart length for GMRES.
+    The backward error is ``||r|| / (||A||_F ||x|| + ||b||)`` with
+    ``r = rhs - matrix @ solution``, taken column by column for a block of
+    right-hand sides (shape ``(n, k)`` gives two arrays of length ``k``; a
+    vector gives two scalars).  A zero denominator — zero load and zero
+    solution — counts as a zero error.
     """
-
-    method: str = "direct"
-    backend: str | None = None
-    rtol: float = 1e-8
-    max_iterations: int = 5000
-    gmres_restart: int = 100
-
-    def __post_init__(self) -> None:
-        if self.method not in _METHOD_BACKENDS:
-            raise ValidationError(
-                f"method must be 'direct', 'cg' or 'gmres', got {self.method!r}"
-            )
-        if self.backend is not None:
-            # Normalize aliases eagerly so equal configurations compare equal.
-            object.__setattr__(
-                self, "backend", canonical_backend_name(self.backend)
-            )
-        if self.rtol <= 0.0 or self.rtol >= 1.0:
-            raise ValidationError(f"rtol must lie in (0, 1), got {self.rtol}")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-
-    @property
-    def effective_backend(self) -> str:
-        """The backend name this configuration requests."""
-        return self.backend or _METHOD_BACKENDS[self.method]
+    residuals = np.linalg.norm(matrix @ solution - rhs, axis=0)
+    scale = spla.norm(matrix) * np.linalg.norm(solution, axis=0) + np.linalg.norm(
+        rhs, axis=0
+    )
+    errors = np.divide(residuals, scale, out=np.zeros_like(residuals), where=scale > 0)
+    return residuals, errors
 
 
 class LinearSolver:
-    """Front-end dispatching to the configured sparse-solver backend."""
+    """One-shot sparse solve that records :class:`SolveStats`."""
 
-    def __init__(self, options: SolverOptions | None = None):
-        self.options = options or SolverOptions()
+    def __init__(self) -> None:
         self.last_stats: SolveStats | None = None
 
     def solve(self, matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
@@ -112,62 +64,46 @@ class LinearSolver:
             raise ValidationError(
                 f"matrix of shape {matrix.shape} incompatible with rhs of size {rhs.size}"
             )
-        backend, requested = resolve_backend(self.options.effective_backend)
-        answered = backend
-        if backend.name == "direct-splu":
-            solution, stats = _retry_direct(
-                lambda: backend.solve(matrix, rhs, self.options)
+        solution = factorize_direct(matrix).solve(rhs)
+        residual, error = backward_error(matrix, solution, rhs)
+        converged = bool(error <= BACKWARD_ERROR_TOLERANCE)
+        if not converged:
+            _logger.warning(
+                "solver: backward error %.2e exceeds %.0e",
+                error,
+                BACKWARD_ERROR_TOLERANCE,
             )
-        else:
-            try:
-                # Each backend is a named fault site: an injected transient
-                # failure exercises the fallback to direct-splu below.
-                faults.fault_point(f"fem.backends.{backend.name}")
-                solution, stats = backend.solve(matrix, rhs, self.options)
-            except faults.TransientFaultError as exc:
-                _logger.warning(
-                    "solver: transient failure in backend %s (%s); "
-                    "falling back to direct-splu",
-                    backend.name,
-                    exc,
-                )
-                answered, _ = resolve_backend("direct-splu")
-                solution, stats = answered.solve(matrix, rhs, self.options)
-        if answered.name != requested:
-            # A different backend answered (unavailable at resolution time,
-            # or failed over mid-solve); record the substitution.
-            stats.method = f"{requested}->{stats.method}"
-        self.last_stats = stats
+        self.last_stats = SolveStats(
+            method=SOLVER_METHOD,
+            iterations=1,
+            residual_norm=float(residual),
+            converged=converged,
+            unknowns=rhs.size,
+        )
         return solution
-
-
-def _retry_direct(call: Callable[[], T]) -> T:
-    """Run a direct-splu call behind its fault site.
-
-    direct-splu is the bottom of every fallback chain, so a one-off
-    transient failure retries the call in place.
-    """
-    try:
-        faults.fault_point("fem.backends.direct-splu")
-        return call()
-    except faults.TransientFaultError as exc:
-        _logger.warning("solver: transient failure (%s); retrying", exc)
-        return call()
 
 
 def factorize_direct(matrix: sp.spmatrix) -> FactorizedOperator:
     """SuperLU factorisation of ``matrix`` for repeated back-substitution.
 
-    Shares the ``fem.backends.direct-splu`` fault site and its in-place
-    retry with :class:`LinearSolver`.
+    Every factorisation in the package goes through here, behind the
+    ``fem.backends.direct-splu`` fault site.  There is no other solver to
+    fall back to, so a one-off transient failure retries in place.
     """
-    return _retry_direct(lambda: FactorizedOperator(matrix))
+    try:
+        faults.fault_point("fem.backends.direct-splu")
+        return FactorizedOperator(matrix)
+    except faults.TransientFaultError as exc:
+        _logger.warning("solver: transient failure (%s); retrying", exc)
+        return FactorizedOperator(matrix)
 
 
 __all__ = [
-    "SolverOptions",
+    "BACKWARD_ERROR_TOLERANCE",
+    "SOLVER_METHOD",
     "SolveStats",
     "FactorizedOperator",
     "LinearSolver",
+    "backward_error",
     "factorize_direct",
 ]

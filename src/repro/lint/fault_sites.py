@@ -15,8 +15,7 @@ statically so that:
 Sites are discovered from three syntactic shapes:
 
 1. ``fault_point("literal.site")`` calls (f-string sites such as
-   ``f"fem.backends.{name}"`` register as glob patterns, e.g.
-   ``fem.backends.*``),
+   ``f"service.{name}"`` register as glob patterns, e.g. ``service.*``),
 2. ``fault_site="literal.site"`` keyword arguments at call sites,
 3. ``fault_site: str = "literal.site"`` defaulted function parameters
    (helpers that let callers override the site but ship a default).

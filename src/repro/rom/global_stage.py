@@ -41,7 +41,13 @@ from repro.fem.boundary import DirichletBC, split_system
 # Not used here: the benchmark tracer (perfbench/tracing.py) wraps this
 # module attribute, and is its only reader.
 from repro.fem.boundary import lift_system  # noqa: F401
-from repro.fem.solver import SolveStats, factorize_direct
+from repro.fem.solver import (
+    BACKWARD_ERROR_TOLERANCE,
+    SOLVER_METHOD,
+    SolveStats,
+    backward_error,
+    factorize_direct,
+)
 from repro.geometry.array_layout import BlockKind, TSVArrayLayout
 from repro.materials.library import MaterialLibrary
 from repro.rom.global_dofs import GlobalDofManager
@@ -52,13 +58,6 @@ from repro.utils.timing import StageTimings
 from repro.utils.validation import ValidationError
 
 _logger = get_logger("rom.global_stage")
-
-#: Largest normwise backward error ``||r|| / (||A_ff|| ||x|| + ||b||)`` with
-#: which a global solve still reports ``converged``.
-BACKWARD_ERROR_TOLERANCE = 1e-10
-
-#: The ``solver_method`` every monolithic global solve reports.
-SOLVER_METHOD = "direct-splu"
 
 
 def _check_rom_consistency(
@@ -353,7 +352,7 @@ class GlobalStage:
             common :class:`StageTimings` record.  Each reports ``converged``
             when its normwise backward error
             ``||r|| / (||A_ff|| ||x|| + ||b||)`` is at most
-            :data:`BACKWARD_ERROR_TOLERANCE`.
+            :data:`~repro.fem.solver.BACKWARD_ERROR_TOLERANCE`.
         """
         delta_ts = [float(delta_t) for delta_t in delta_ts]
         if not delta_ts:
@@ -397,13 +396,7 @@ class GlobalStage:
 
         with timings.measure("solve"):
             free = operator.solve(rhs)
-            residuals = np.linalg.norm(split.a_ff @ free - rhs, axis=0)
-            scale = np.linalg.norm(split.a_ff.data) * np.linalg.norm(
-                free, axis=0
-            ) + np.linalg.norm(rhs, axis=0)
-            backward_errors = np.divide(
-                residuals, scale, out=np.zeros_like(residuals), where=scale > 0
-            )
+            residuals, backward_errors = backward_error(split.a_ff, free, rhs)
             solution_block = split.expand(free, values)
 
         converged = backward_errors <= BACKWARD_ERROR_TOLERANCE
@@ -559,8 +552,6 @@ class GlobalSolution:
 
 
 __all__ = [
-    "BACKWARD_ERROR_TOLERANCE",
-    "SOLVER_METHOD",
     "GlobalStage",
     "GlobalSolution",
 ]

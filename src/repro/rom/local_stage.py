@@ -29,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.fem.assembly import assemble_stiffness, assemble_thermal_load
-from repro.fem.backends import canonical_backend_name, resolve_backend
 from repro.fem.boundary import DirichletBC, split_system
 from repro.fem.elasticity import material_arrays_for_mesh
+from repro.fem.solver import factorize_direct
 from repro.geometry.unit_block import UnitBlockGeometry
 from repro.materials.library import MaterialLibrary
 from repro.mesh.block_mesher import mesh_unit_block
@@ -75,10 +75,6 @@ class LocalStage:
         independent block builds (:meth:`build_many`).  ``None`` (the
         default) uses one worker per CPU; ``1`` runs serially.  The parallel
         schedule never changes results, only wall-clock time.
-    solver_backend:
-        Name of the :mod:`repro.fem.backends` backend whose factorisation the
-        snapshot solves reuse (``None`` = ``"direct-splu"``; ``"cholmod"``
-        is picked up automatically when requested and installed).
     """
 
     materials: MaterialLibrary
@@ -87,7 +83,6 @@ class LocalStage:
     rhs_batch_size: int = 64
     cache: "ROMCache | str | Path | None" = None
     jobs: int | None = None
-    solver_backend: str | None = None
 
     def __post_init__(self) -> None:
         self.resolution = MeshResolution.from_spec(self.resolution)
@@ -95,10 +90,6 @@ class LocalStage:
             self.scheme = InterpolationScheme(self.scheme)
         self.cache = ROMCache.from_spec(self.cache)
         resolve_jobs(self.jobs)  # validate eagerly
-        if self.solver_backend is not None:
-            # Normalize (and reject typos) now, not after minutes of meshing
-            # — and not never, as would happen on a warm cache hit.
-            self.solver_backend = canonical_backend_name(self.solver_backend)
 
     # ------------------------------------------------------------------ #
     # public API
@@ -229,8 +220,7 @@ class LocalStage:
         num_dofs = a_local.shape[0]
         basis = np.zeros((num_dofs, n + 1), dtype=float)
 
-        backend, _ = resolve_backend(self.solver_backend or "direct-splu")
-        operator = backend.factorize(split.a_ff)
+        operator = factorize_direct(split.a_ff)
 
         # Displacement basis functions f_i: boundary displacement equal to one
         # Lagrange interpolation function, delta_t = 0 (paper Eq. 14).

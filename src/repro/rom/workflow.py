@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.fem.backends import canonical_backend_name
 from repro.geometry.array_layout import BlockKind, TSVArrayLayout
 from repro.geometry.tsv import TSVGeometry
 from repro.geometry.unit_block import UnitBlockGeometry
@@ -130,11 +129,6 @@ class MoreStressSimulator:
         Worker count for the parallel parts of the local stage (snapshot
         solves, independent block builds).  ``None`` uses one worker per
         CPU; results are bit-identical to ``jobs=1``.
-    solver_backend:
-        Optional :mod:`repro.fem.backends` backend name supplying the local
-        stage's factorisation; unavailable optional backends fall back
-        gracefully.  The global stage always eliminates its constrained DoFs
-        and factorises with SuperLU.
 
     Example
     -------
@@ -150,7 +144,6 @@ class MoreStressSimulator:
     nodes_per_axis: tuple[int, int, int] = (4, 4, 4)
     rom_cache: "ROMCache | str | Path | None" = None
     jobs: int | None = None
-    solver_backend: str | None = None
     _roms: dict[BlockKind, ReducedOrderModel] = field(default_factory=dict, repr=False)
     _local_stage_seconds: float = field(default=0.0, repr=False)
 
@@ -158,8 +151,6 @@ class MoreStressSimulator:
         self.mesh_resolution = MeshResolution.from_spec(self.mesh_resolution)
         self.scheme = InterpolationScheme(tuple(self.nodes_per_axis))
         self.rom_cache = ROMCache.from_spec(self.rom_cache)
-        if self.solver_backend is not None:
-            self.solver_backend = canonical_backend_name(self.solver_backend)
 
     # ------------------------------------------------------------------ #
     # local stage management
@@ -177,7 +168,6 @@ class MoreStressSimulator:
             scheme=self.scheme,
             cache=self.rom_cache,
             jobs=self.jobs,
-            solver_backend=self.solver_backend,
         )
         block = UnitBlockGeometry(tsv=self.tsv, has_tsv=True)
         wanted = [(BlockKind.TSV, block)]

@@ -84,8 +84,8 @@ class TestCLISolverBackendAndJobs:
     def test_info_lists_solver_backends(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out
-        assert "solver backends" in out
-        assert "direct-splu" in out and "cholmod" in out
+        assert "sparse solver: SuperLU (direct-splu), all stages" in out
+        assert "cholmod" not in out
 
     def test_simulate_with_jobs_and_backend(self, capsys):
         code = main(

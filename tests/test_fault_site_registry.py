@@ -8,6 +8,7 @@ from pathlib import Path
 
 from repro.lint import Project, build_registry, render_markdown
 from repro.lint.rules.rep002_fault_sites import _iter_chaos_globs
+from tests.lint_fixtures import FIXTURES_DIR
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
@@ -31,13 +32,16 @@ class TestRegistryContent:
             "service.pool.worker",
             "cli.spec.write",
             "client.fetch_fields",
+            "fem.backends.direct-splu",
         ):
             assert expected in sites, f"missing fault site {expected}"
-        # The f-string backend site registers as a glob pattern.
-        backend = next(
-            entry for entry in registry["sites"] if entry["site"] == "fem.backends.*"
-        )
-        assert backend["kind"] == "pattern"
+
+    def test_fstring_site_registers_as_pattern(self):
+        fixture = FIXTURES_DIR / "fault_site_fstring.py"
+        registry = build_registry(Project.from_paths(REPO_ROOT, [fixture]))
+        (entry,) = registry["sites"]
+        assert entry["site"] == "fem.backends.*"
+        assert entry["kind"] == "pattern"
 
     def test_every_site_has_a_source_location(self):
         registry = build_registry(_project())

@@ -1,23 +1,11 @@
-"""Tests for the pluggable sparse-solver backends and their selection."""
+"""Tests for the SuperLU factorisation and the solver-name stubs."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.fem.backends import (
-    BACKEND_ALIASES,
-    CholmodBackend,
-    FactorizedOperator,
-    JacobiCGBackend,
-    JacobiGMRESBackend,
-    PyAMGBackend,
-    available_backends,
-    backend_names,
-    canonical_backend_name,
-    get_backend,
-    resolve_backend,
-)
-from repro.fem.solver import LinearSolver, SolverOptions
+from repro.fem.backends import FactorizedOperator, available_backends, backend_names
+from repro.fem.solver import LinearSolver
 from repro.utils.validation import ValidationError
 
 
@@ -30,112 +18,22 @@ def _spd_system(n: int = 40):
 
 class TestRegistry:
     def test_core_backends_registered(self):
-        names = backend_names()
-        for name in ("direct-splu", "cg", "gmres", "cholmod", "pyamg"):
-            assert name in names
+        assert backend_names() == ("direct-splu",)
 
     def test_direct_always_available(self):
         assert "direct-splu" in available_backends()
-
-    def test_aliases_resolve_to_canonical_names(self):
-        for alias, canonical in BACKEND_ALIASES.items():
-            assert canonical_backend_name(alias) == canonical
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValidationError, match="unknown solver backend"):
-            canonical_backend_name("petsc")
-        with pytest.raises(ValidationError):
-            get_backend("petsc")
-        with pytest.raises(ValidationError):
-            resolve_backend("petsc")
-
-    def test_get_backend_accepts_aliases(self):
-        assert get_backend("direct").name == "direct-splu"
-        assert get_backend("cg+jacobi").name == "cg"
-
-
-class TestFallback:
-    def test_unavailable_backend_falls_back_along_chain(self, monkeypatch):
-        monkeypatch.setattr(CholmodBackend, "is_available", classmethod(lambda cls: False))
-        backend, requested = resolve_backend("cholmod")
-        assert requested == "cholmod"
-        assert backend.name == "direct-splu"
-
-    def test_pyamg_falls_back_to_cg_first(self, monkeypatch):
-        monkeypatch.setattr(PyAMGBackend, "is_available", classmethod(lambda cls: False))
-        backend, requested = resolve_backend("pyamg")
-        assert requested == "pyamg"
-        assert backend.name == "cg"
-
-    def test_available_backend_resolves_to_itself(self):
-        backend, requested = resolve_backend("direct-splu")
-        assert backend.name == requested == "direct-splu"
-
-    def test_fallback_recorded_in_solve_stats(self, monkeypatch):
-        monkeypatch.setattr(CholmodBackend, "is_available", classmethod(lambda cls: False))
-        matrix, rhs = _spd_system()
-        solver = LinearSolver(SolverOptions(backend="cholmod"))
-        solution = solver.solve(matrix, rhs)
-        assert np.allclose(matrix @ solution, rhs)
-        assert solver.last_stats.method == "cholmod->direct-splu"
-        assert solver.last_stats.converged
-
-    def test_iterative_fallback_label_preserved_through_substitution(self, monkeypatch):
-        monkeypatch.setattr(PyAMGBackend, "is_available", classmethod(lambda cls: False))
-        matrix, rhs = _spd_system()
-        solver = LinearSolver(SolverOptions(backend="pyamg", rtol=1e-10))
-        solution = solver.solve(matrix, rhs)
-        assert np.allclose(matrix @ solution, rhs)
-        assert solver.last_stats.method.startswith("pyamg->cg")
 
 
 class TestSolveStatsLabels:
     def test_direct_method_labeled_with_backend_name(self):
         matrix, rhs = _spd_system()
-        solver = LinearSolver(SolverOptions(method="direct"))
+        solver = LinearSolver()
         solver.solve(matrix, rhs)
         assert solver.last_stats.method == "direct-splu"
         assert solver.last_stats.iterations == 1
 
-    def test_explicit_backend_overrides_method(self):
-        matrix, rhs = _spd_system()
-        solver = LinearSolver(SolverOptions(method="gmres", backend="direct-splu"))
-        solver.solve(matrix, rhs)
-        assert solver.last_stats.method == "direct-splu"
-
-    def test_cg_backend_label(self):
-        matrix, rhs = _spd_system()
-        solver = LinearSolver(SolverOptions(backend="cg", rtol=1e-10))
-        solution = solver.solve(matrix, rhs)
-        assert np.allclose(matrix @ solution, rhs, atol=1e-6)
-        assert solver.last_stats.method == "cg"
-        assert solver.last_stats.iterations >= 1
-
-
-class TestSolverOptionsBackendField:
-    def test_backend_alias_normalized(self):
-        assert SolverOptions(backend="direct").backend == "direct-splu"
-        assert SolverOptions(backend="cg+jacobi").backend == "cg"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValidationError):
-            SolverOptions(backend="petsc")
-
-    def test_effective_backend_derived_from_method(self):
-        assert SolverOptions(method="direct").effective_backend == "direct-splu"
-        assert SolverOptions(method="cg").effective_backend == "cg"
-        assert SolverOptions(method="gmres").effective_backend == "gmres"
-        assert SolverOptions(method="gmres", backend="cholmod").effective_backend == "cholmod"
-
 
 class TestFactorization:
-    def test_iterative_backends_delegate_factorization_to_superlu(self):
-        matrix, rhs = _spd_system()
-        for backend_cls in (JacobiCGBackend, JacobiGMRESBackend):
-            operator = backend_cls().factorize(matrix)
-            assert isinstance(operator, FactorizedOperator)
-            assert np.allclose(matrix @ operator.solve(rhs), rhs)
-
     def test_factorized_operator_handles_rhs_blocks(self):
         matrix, rhs = _spd_system()
         operator = FactorizedOperator(matrix)

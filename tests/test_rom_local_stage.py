@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.fem.assembly import assemble_stiffness, assemble_thermal_load
 from repro.rom.interpolation import InterpolationScheme
 from repro.rom.local_stage import LocalStage
@@ -175,20 +176,6 @@ class TestLocalStageConfiguration:
         with pytest.raises(ValidationError):
             LocalStage(materials, "tiny", scheme_333, jobs=0)
 
-    def test_unknown_solver_backend_rejected_eagerly(
-        self, materials, tiny_resolution, scheme_333
-    ):
-        # Eager: a typo must not survive until (or be masked by) a warm
-        # cache hit.
-        with pytest.raises(ValidationError, match="unknown solver backend"):
-            LocalStage(materials, tiny_resolution, scheme_333, solver_backend="petsc")
-
-    def test_solver_backend_alias_normalized(self, materials, tiny_resolution, scheme_333):
-        stage = LocalStage(
-            materials, tiny_resolution, scheme_333, solver_backend="direct"
-        )
-        assert stage.solver_backend == "direct-splu"
-
 
 class TestParallelLocalStage:
     """The parallel schedule must never change the numbers (ISSUE 2)."""
@@ -218,11 +205,19 @@ class TestParallelLocalStage:
         )
         assert np.array_equal(tsv_rom.basis, reference.basis)
 
-    def test_explicit_direct_backend_matches_default(
+
+class TestLocalStageFaults:
+    def test_transient_factorisation_fault_is_retried_bit_equal(
         self, materials, tsv_block, tiny_resolution, scheme_333
     ):
-        default = LocalStage(materials, tiny_resolution, scheme_333).build(tsv_block)
-        explicit = LocalStage(
-            materials, tiny_resolution, scheme_333, solver_backend="direct-splu"
-        ).build(tsv_block)
-        assert np.array_equal(default.basis, explicit.basis)
+        """A cold build factorises behind the direct-splu fault site."""
+        reference = LocalStage(materials, tiny_resolution, scheme_333).build(tsv_block)
+        plan = faults.FaultPlan(
+            rules=(
+                {"site": "fem.backends.direct-splu", "kind": "transient", "nth": 1},
+            )
+        )
+        with faults.injected_faults(plan):
+            faulted = LocalStage(materials, tiny_resolution, scheme_333).build(tsv_block)
+        assert plan.fired_counts() == {"fem.backends.direct-splu:transient": 1}
+        assert np.array_equal(faulted.basis, reference.basis)

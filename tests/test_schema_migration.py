@@ -172,13 +172,14 @@ class TestSpecMigration:
         with pytest.raises(SpecError, match=r"solver\.array_backend: unknown field"):
             SimulationSpec.from_dict(document)
 
+    @pytest.mark.parametrize("backend", ["cholmod", "pyamg", "cg+jacobi", "splu", None])
     @pytest.mark.parametrize("version", [1, 2, 3, 4])
-    def test_v1_to_v4_solver_knobs_migration(self, version):
+    def test_v1_to_v4_solver_knobs_migration(self, version, backend):
         # The knobs selected the global solve, which is now always one
         # elimination + factorisation: they load, are dropped, and the spec
         # is the same spec.
         spec = SimulationSpec.from_dict(
-            _v4_spec_document(version, method="direct", backend="cholmod")
+            _v4_spec_document(version, method="direct", backend=backend)
         )
         assert spec == SimulationSpec()
         assert spec.spec_hash() == SimulationSpec().spec_hash()
